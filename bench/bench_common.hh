@@ -27,6 +27,7 @@
 #include "common/table.hh"
 #include "fi/campaign.hh"
 #include "fi/metrics.hh"
+#include "sched/scheduler.hh"
 #include "soc/builder.hh"
 #include "workloads/workloads.hh"
 
@@ -133,7 +134,7 @@ runIsaSweep(const std::string &figure, const std::string &title,
         for (isa::IsaKind kind : isa::kAllIsas) {
             const fi::GoldenRun &golden = goldens.get(name, kind);
             fi::CampaignResult res =
-                fi::runCampaignOnGolden(golden, {target}, opts);
+                sched::runCampaign(golden, {target}, opts);
             res.workload = name;
             row.push_back(res.avf() * 100.0);
             if (printSdcComponent)

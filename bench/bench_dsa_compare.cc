@@ -41,7 +41,7 @@ int main() {
             if (info.ref.id != fi::TargetId::AccelMem)
                 continue;
             const fi::CampaignResult res =
-                fi::runCampaignOnGolden(golden, info.ref, opts);
+                sched::runCampaign(golden, info.ref, opts);
             const auto& mem = unit.memories()[info.ref.memIdx];
             table.row(
                 {info.name, strfmt("%u", info.geometry.entries * 8),

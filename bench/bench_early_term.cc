@@ -23,7 +23,7 @@ int main() {
                 o.earlyTermination = early;
                 const auto start =
                     std::chrono::steady_clock::now();
-                out = fi::runCampaignOnGolden(golden, {target}, o);
+                out = sched::runCampaign(golden, {target}, o);
                 return std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                     .count();

@@ -44,7 +44,7 @@ int main() {
         const fi::TargetInfo info =
             fi::targetInfo(golden.checkpoint.view(), ref);
         const fi::CampaignResult res =
-            fi::runCampaignOnGolden(golden, ref, opts);
+            sched::runCampaign(golden, ref, opts);
         const auto& mem = golden.checkpoint.view()
                               .cluster.unitC(0)
                               .memories()[ref.memIdx];

@@ -21,7 +21,7 @@ int main() {
             cfg.cpu.numIntPregs = pregs;
             const fi::GoldenRun golden = fi::runGolden(
                 cfg, isa::compile(wl.module, isa::IsaKind::RISCV));
-            fi::CampaignResult res = fi::runCampaignOnGolden(
+            fi::CampaignResult res = sched::runCampaign(
                 golden, {fi::TargetId::PrfInt}, opts);
             row.push_back(res.avf() * 100.0);
             bySize[pregs].push_back(res);

@@ -21,7 +21,7 @@ int main() {
             soc::SystemConfig cfg = soc::preset("riscv");
             const fi::GoldenRun golden = fi::runGolden(
                 cfg, isa::compile(wl.module, isa::IsaKind::RISCV));
-            const fi::CampaignResult res = fi::runCampaignOnGolden(
+            const fi::CampaignResult res = sched::runCampaign(
                 golden, {fi::TargetId::L1D}, opts);
             const double ops = fi::operationsPerSecond(
                 wl.opsPerRun, golden.windowCycles, cfg.clockGHz);
@@ -56,7 +56,7 @@ int main() {
                 golden.checkpoint.view(),
                 std::string(algo) + "." + comp);
             const fi::CampaignResult res =
-                fi::runCampaignOnGolden(golden, ref, opts);
+                sched::runCampaign(golden, ref, opts);
             const Cycle accelCycles = golden.windowCycles;
             const double ops = fi::operationsPerSecond(
                 wl.opsPerRun, accelCycles, cfg.clockGHz);

@@ -29,7 +29,7 @@ int main() {
         const fi::TargetRef ref = fi::targetByName(
             golden.checkpoint.view(), "gemm.MATRIX1");
         const fi::CampaignResult res =
-            fi::runCampaignOnGolden(golden, ref, opts);
+            sched::runCampaign(golden, ref, opts);
         table.row({strfmt("P%u", p), strfmt("%u", p),
                    strfmt("%u", 2 * p),
                    strfmt("%.1f +/-%.1f", res.avf() * 100.0,

@@ -18,9 +18,9 @@ int main() {
     for (const char* name : names) {
         const fi::GoldenRun& golden =
             goldens.get(name, isa::IsaKind::RISCV);
-        const fi::CampaignResult prf = fi::runCampaignOnGolden(
+        const fi::CampaignResult prf = sched::runCampaign(
             golden, {fi::TargetId::PrfInt}, opts);
-        const fi::CampaignResult l1d = fi::runCampaignOnGolden(
+        const fi::CampaignResult l1d = sched::runCampaign(
             golden, {fi::TargetId::L1D}, opts);
         achievedMargin.add(prf.errorMargin());
         achievedMargin.add(l1d.errorMargin());
@@ -38,7 +38,7 @@ int main() {
     for (const char* name : names) {
         const fi::GoldenRun& golden =
             goldens.get(name, isa::IsaKind::RISCV);
-        const fi::CampaignResult res = fi::runCampaignOnGolden(
+        const fi::CampaignResult res = sched::runCampaign(
             golden, {fi::TargetId::PrfInt}, opts);
         const fi::PropagationBreakdown pb =
             fi::propagationBreakdown(res);

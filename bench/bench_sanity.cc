@@ -41,7 +41,7 @@ int main() {
         soc::SystemConfig cfg = soc::preset(isa::isaName(kind));
         const fi::GoldenRun golden =
             fi::runGolden(cfg, isa::compile(mb.module(), kind));
-        const fi::CampaignResult res = fi::runCampaignOnGolden(
+        const fi::CampaignResult res = sched::runCampaign(
             golden, {fi::TargetId::L1D}, opts);
         t.row({isa::isaName(kind),
                strfmt("%.1f +/-%.1f", res.avf() * 100.0,

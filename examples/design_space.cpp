@@ -14,6 +14,7 @@
 #include "accel/designs/designs.hh"
 #include "common/table.hh"
 #include "fi/campaign.hh"
+#include "sched/scheduler.hh"
 #include "soc/builder.hh"
 #include "workloads/workloads.hh"
 
@@ -57,7 +58,7 @@ main(int argc, char **argv)
         const fi::TargetRef ref = fi::targetByName(
             golden.checkpoint.view(), "gemm.MATRIX1");
         const fi::CampaignResult res =
-            fi::runCampaignOnGolden(golden, ref, opts);
+            sched::runCampaign(golden, ref, opts);
         const double area = cfg.cluster.designs[0].area();
         table.row({strfmt("P%u", p),
                    strfmt("%.1f", res.avf() * 100),

@@ -13,6 +13,7 @@
 
 #include "common/table.hh"
 #include "fi/campaign.hh"
+#include "sched/scheduler.hh"
 #include "soc/builder.hh"
 #include "workloads/workloads.hh"
 
@@ -42,7 +43,7 @@ main(int argc, char **argv)
         const fi::TargetRef target =
             fi::targetByName(golden.checkpoint.view(), targetName);
         const fi::CampaignResult res =
-            fi::runCampaignOnGolden(golden, target, opts);
+            sched::runCampaign(golden, target, opts);
         table.row({isa::isaName(kind),
                    strfmt("%.1f", res.avf() * 100),
                    strfmt("%.1f", res.sdcAvf() * 100),

@@ -14,6 +14,7 @@
 
 #include "fi/campaign.hh"
 #include "mir/builder.hh"
+#include "sched/scheduler.hh"
 #include "soc/builder.hh"
 
 using namespace marvel;
@@ -59,7 +60,7 @@ main()
     // 4. A statistical campaign over the same structure.
     fi::CampaignOptions opts;
     opts.numFaults = 200;
-    const fi::CampaignResult res = fi::runCampaignOnGolden(
+    const fi::CampaignResult res = sched::runCampaign(
         golden, {fi::TargetId::PrfInt}, opts);
     std::printf("campaign: AVF %.1f%% (SDC %.1f%%, Crash %.1f%%) "
                 "over %llu faults, margin +/-%.1f%%\n",

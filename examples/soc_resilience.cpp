@@ -14,6 +14,7 @@
 #include "common/table.hh"
 #include "fi/campaign.hh"
 #include "fi/metrics.hh"
+#include "sched/scheduler.hh"
 #include "soc/builder.hh"
 #include "workloads/workloads.hh"
 
@@ -38,7 +39,7 @@ main(int argc, char **argv)
         soc::SystemConfig cfg = soc::preset("riscv");
         const fi::GoldenRun golden = fi::runGolden(
             cfg, isa::compile(wl.module, isa::IsaKind::RISCV));
-        const fi::CampaignResult res = fi::runCampaignOnGolden(
+        const fi::CampaignResult res = sched::runCampaign(
             golden, {fi::TargetId::L1D}, opts);
         table.row({"cpu", "l1d", strfmt("%.1f", res.avf() * 100),
                    strfmt("%llu", static_cast<unsigned long long>(
@@ -63,7 +64,7 @@ main(int argc, char **argv)
             if (info.ref.id != fi::TargetId::AccelMem)
                 continue;
             const fi::CampaignResult res =
-                fi::runCampaignOnGolden(golden, info.ref, opts);
+                sched::runCampaign(golden, info.ref, opts);
             table.row({"dsa", info.name,
                        strfmt("%.1f", res.avf() * 100),
                        strfmt("%llu",

@@ -41,7 +41,7 @@ set -euo pipefail
 BUILD="${1:-build}"
 TOOLS="$BUILD/tools"
 WORK="$(mktemp -d)"
-trap 'kill $(jobs -p) 2>/dev/null; wait 2>/dev/null; rm -rf "$WORK"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 # The workload selection is shared by the reference run, the daemon,
 # and both workers: every process must simulate the same system.

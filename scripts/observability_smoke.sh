@@ -36,7 +36,7 @@ WORK="$(mktemp -d)"
 # SIGKILL in the cleanup: this script freezes a worker with SIGSTOP,
 # and a stopped process queues SIGTERM without dying — a plain kill
 # would leave the trap's wait hanging forever.
-trap 'kill -9 $(jobs -p) 2>/dev/null; wait 2>/dev/null; rm -rf "$WORK"' EXIT
+trap 'kill -9 $(jobs -p) 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 FAULTS="${SMOKE_FAULTS:-600}"
 CAMPAIGN=(--workload crc32 --target prf-int

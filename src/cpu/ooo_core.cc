@@ -434,46 +434,6 @@ OooCore::convergedWith(const OooCore &other) const
     return bpred.convergedWith(other.bpred);
 }
 
-std::string
-OooCore::debugState() const
-{
-    std::string head = "-";
-    if (!rob.empty()) {
-        const RobEntry &h = rob.front();
-        auto rdy = [&](unsigned k) -> int {
-            const isa::RegRef refs[3] = {h.uop.srcA, h.uop.srcB,
-                                         h.uop.srcC};
-            if (refs[k].cls == RegClass::None)
-                return -1;
-            if (h.srcPhys[k] == -2)
-                return 1;
-            return refs[k].cls == RegClass::Fp
-                       ? fpPrf.ready(h.srcPhys[k])
-                       : intPrf.ready(h.srcPhys[k]);
-        };
-        head = strfmt("pc=%llx op=%d done=%d iss=%d ld=%d st=%d br=%d "
-                      "src=[%d@%d %d@%d %d@%d] seq=%llu",
-                      (unsigned long long)h.pc, (int)h.uop.op,
-                      (int)h.completed, (int)h.issued,
-                      (int)h.uop.isLoad,
-                      (int)h.uop.isStore, (int)h.uop.isBranch(),
-                      rdy(0), (int)h.srcPhys[0], rdy(1),
-                      (int)h.srcPhys[1], rdy(2), (int)h.srcPhys[2],
-                      (unsigned long long)h.seq);
-    }
-    std::string iqs;
-    for (u64 q : iq)
-        iqs += strfmt("%llu,", (unsigned long long)q);
-    head += " iq{" + iqs + "}";
-    return strfmt(
-        "cyc=%llu insts=%llu sq=%llu fetchPc=%llx fq=%zu rob=%zu "
-        "iq=%zu lq=%u sqz=%u infl=%zu head[%s]",
-        (unsigned long long)cycles, (unsigned long long)committedUops,
-        (unsigned long long)squashes, (unsigned long long)fetchPc,
-        fetchQueue.size(), rob.size(), iq.size(), lq.size(),
-        sq.size(), inflight.size(), head.c_str());
-}
-
 bool
 OooCore::robFlipBit(u32 entry, u32 bit)
 {

@@ -270,9 +270,6 @@ class OooCore
      */
     u64 archRegDigest() const;
 
-    /** One-line pipeline state summary (debugging aid). */
-    std::string debugState() const;
-
     // --- reorder-buffer injection image (paper SIV-E) ----------------
     /** ROB capacity (injection entries). */
     u32 robNumEntries() const { return params_.robSize; }

@@ -1,14 +1,11 @@
 #include "fi/campaign.hh"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "obs/profiler.hh"
-#include "sched/workqueue.hh"
 #include "soc/converge.hh"
 
 namespace marvel::fi
@@ -711,82 +708,6 @@ makeSampler(const GoldenRun &golden, FaultModel base,
                   (unsigned long long)spec.filter.pcHi);
     }
     return sampler;
-}
-
-CampaignResult
-runCampaign(const soc::SystemConfig &config,
-            const isa::Program &program, const TargetRef &target,
-            const CampaignOptions &options)
-{
-    const GoldenRun golden = runGolden(
-        config, program, options.goldenMaxCycles, options.ladderRungs);
-    return runCampaignOnGolden(golden, target, options);
-}
-
-CampaignResult
-runCampaignOnGolden(const GoldenRun &golden, const TargetRef &target,
-                    const CampaignOptions &options)
-{
-    CampaignResult result;
-    result.target = targetInfo(golden.checkpoint.view(), target);
-    result.goldenCycles = golden.totalCycles;
-    result.windowCycles = golden.windowCycles;
-    if (options.keepVerdicts)
-        result.verdicts.resize(options.numFaults);
-
-    InjectionOptions runOpts;
-    runOpts.earlyTermination = options.earlyTermination;
-    runOpts.computeHvf = options.computeHvf;
-    runOpts.timeoutFactor = options.timeoutFactor;
-    runOpts.useLadder = options.useLadder;
-    runOpts.earlyStop = resolveEarlyStop(options.earlyStop, golden);
-
-    // One profiling replay amortized over every pruned fault; only
-    // transient models can prune (stuck-at faults are never dead).
-    TargetProfile profile;
-    if (options.prune && options.model == FaultModel::Transient)
-        profile = profileTargetAccesses(golden, target);
-
-    const FaultSampler sampler =
-        makeSampler(golden, options.model, options.modelSpec);
-
-    unsigned threads = options.threads;
-    if (threads == 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min<unsigned>(threads, options.numFaults ? options.numFaults : 1);
-
-    // Atomic work queue instead of the old fixed-stride split: each
-    // worker claims the next unclaimed fault index, so one stride
-    // accumulating the slow (timeout-bound) runs can no longer leave
-    // the other workers idle. Results stay deterministic because each
-    // index derives its own RNG stream and the counters commute.
-    sched::WorkQueue queue(options.numFaults);
-    std::mutex mergeMutex;
-    auto worker = [&](unsigned) {
-        CampaignResult local;
-        std::vector<std::pair<u64, RunVerdict>> kept;
-        while (const auto slot = queue.next()) {
-            const u64 i = *slot;
-            Rng rng = Rng::forStream(options.seed, i);
-            const FaultMask mask =
-                sampler.sample(rng, target, result.target.geometry,
-                               golden.windowCycles);
-            const RunVerdict verdict =
-                profile.valid() && profile.prunable(mask)
-                    ? prunedVerdict()
-                    : runWithFault(golden, mask, runOpts);
-            local.tally(verdict);
-            if (options.keepVerdicts)
-                kept.emplace_back(i, verdict);
-        }
-        std::lock_guard<std::mutex> lock(mergeMutex);
-        result.addCounts(local);
-        for (auto &[idx, verdict] : kept)
-            result.verdicts[idx] = verdict;
-    };
-
-    sched::runWorkers(threads, worker);
-    return result;
 }
 
 } // namespace marvel::fi

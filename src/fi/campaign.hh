@@ -14,6 +14,9 @@
  *  3. aggregation into AVF / SDC-AVF / Crash-AVF / HVF with the
  *     Leveugle error margin.
  *
+ * This header holds the per-run engine (golden run, runWithFault,
+ * pruning, samplers) and the campaign option/result types; the
+ * campaign loop itself is sched::runCampaign.
  * Faulty runs execute on parallel workers, each with its own restored
  * system copy; results are deterministic for a given seed regardless
  * of thread count.
@@ -244,13 +247,12 @@ struct CampaignOptions
     unsigned threads = 0; ///< 0 = hardware concurrency
     double timeoutFactor = 8.0;
     bool keepVerdicts = false;
-    u64 goldenMaxCycles = 500'000'000;
 
     /**
-     * Rungs for the golden run's checkpoint ladder when the campaign
-     * builds its own golden (runCampaign); kLadderAuto sizes from the
-     * window length. Recorded in the journal meta as the ladder
-     * *geometry* — replay and resume must rebuild the same golden.
+     * Rungs for the golden run's checkpoint ladder (runGolden's
+     * `ladderRungs`); kLadderAuto sizes from the window length.
+     * Recorded in the journal meta as the ladder *geometry* — replay
+     * and resume must rebuild the same golden.
      */
     unsigned ladderRungs = 0;
 
@@ -281,15 +283,14 @@ struct CampaignOptions
     bool prune = false;
 
     /**
-     * Persistence & sharding, consumed by sched::runCampaign (the
-     * in-memory fi:: entry points ignore them). With a journal path
-     * set, every verdict is appended to a crash-safe JSONL journal;
-     * with resume set, completed fault indices are replayed from the
-     * journal and only the missing ones execute. A campaign may be
-     * split across processes: shard `shardIndex` of `shardCount`
-     * owns the fault indices congruent to it mod shardCount, and
-     * sched::mergeJournals folds the shard journals back into one
-     * CampaignResult.
+     * Persistence & sharding, consumed by sched::runCampaign. With a
+     * journal path set, every verdict is appended to a crash-safe
+     * JSONL journal; with resume set, completed fault indices are
+     * replayed from the journal and only the missing ones execute. A
+     * campaign may be split across processes: shard `shardIndex` of
+     * `shardCount` owns the fault indices congruent to it mod
+     * shardCount, and sched::mergeJournals folds the shard journals
+     * back into one CampaignResult.
      */
     std::string journalPath; ///< empty = in-memory only
     bool resume = false;     ///< continue from the journal
@@ -309,7 +310,7 @@ struct CampaignOptions
     /**
      * When set, sched::runCampaign fills in per-worker and campaign
      * execution telemetry (runs/sec, idle time, early-termination
-     * savings). Ignored by the in-memory fi:: entry points.
+     * savings).
      */
     obs::CampaignTelemetry *telemetry = nullptr;
 };
@@ -417,17 +418,6 @@ std::vector<Cycle> resolvePcCycles(const GoldenRun &golden, u64 pcLo,
  */
 FaultSampler makeSampler(const GoldenRun &golden, FaultModel base,
                          const FaultModelSpec &spec);
-
-/** Run a complete campaign from scratch. */
-CampaignResult runCampaign(const soc::SystemConfig &config,
-                           const isa::Program &program,
-                           const TargetRef &target,
-                           const CampaignOptions &options);
-
-/** Run a campaign against a precomputed golden run. */
-CampaignResult runCampaignOnGolden(const GoldenRun &golden,
-                                   const TargetRef &target,
-                                   const CampaignOptions &options);
 
 } // namespace marvel::fi
 

@@ -53,6 +53,8 @@ targetIdFromName(const std::string &name)
     fatal("fault: unknown target '%s'", name.c_str());
 }
 
+} // namespace
+
 FaultModel
 faultModelFromName(const std::string &name)
 {
@@ -63,8 +65,6 @@ faultModelFromName(const std::string &name)
     }
     fatal("fault: unknown model '%s'", name.c_str());
 }
-
-} // namespace
 
 std::string
 FaultMask::toString() const

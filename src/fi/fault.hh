@@ -32,6 +32,9 @@ enum class FaultModel : u8
 
 const char *faultModelName(FaultModel model);
 
+/** Inverse of faultModelName; fatal() on an unknown name. */
+FaultModel faultModelFromName(const std::string &name);
+
 /** Injectable hardware structures. */
 enum class TargetId : u8
 {

@@ -7,8 +7,11 @@
  *   - pick or write a workload: workloads::get / mir::ModuleBuilder
  *   - compile it:               isa::compile
  *   - golden run:               fi::runGolden
- *   - inject:                   fi::runWithFault / fi::runCampaignOnGolden
- *   - persist / resume:         sched::runCampaign / sched::mergeJournals
+ *   - inject one fault:         fi::runWithFault
+ *   - run a campaign:           sched::runCampaign (in memory, or
+ *                               journaled, resumable and sharded)
+ *   - merge / resume identity:  sched::mergeJournals /
+ *                               sched::campaignOptionsFor
  *   - aggregate:                fi::weightedAvf / fi::operationsPerFailure
  *
  * See README.md for a walkthrough and DESIGN.md for the architecture.

@@ -230,11 +230,12 @@ sendAll(int fd, const std::string &data)
 }
 
 long
-recvSome(int fd, std::string &out)
+recvSome(int fd, std::string &out, bool wait)
 {
     char buf[64 * 1024];
     for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        const ssize_t n =
+            ::recv(fd, buf, sizeof(buf), wait ? 0 : MSG_DONTWAIT);
         if (n < 0 && errno == EINTR)
             continue;
         if (n > 0)

@@ -78,8 +78,10 @@ bool sendAll(int fd, const std::string &data);
 /**
  * Read some bytes from a BLOCKING fd into `out` (appending). Returns
  * the byte count, 0 on orderly close, -1 on error. Retries EINTR.
+ * With `wait` false, reads only what is already buffered (-1 with
+ * EAGAIN when nothing is).
  */
-long recvSome(int fd, std::string &out);
+long recvSome(int fd, std::string &out, bool wait = true);
 
 } // namespace marvel::net
 

@@ -34,19 +34,6 @@ nameHash(const std::string &name)
     return h;
 }
 
-fi::FaultModel
-modelFromName(const std::string &name, const std::string &source)
-{
-    for (int i = 0; i <= static_cast<int>(fi::FaultModel::StuckAt1);
-         ++i) {
-        const fi::FaultModel m = static_cast<fi::FaultModel>(i);
-        if (name == fi::faultModelName(m))
-            return m;
-    }
-    fatal("worker: %s names unknown fault model '%s'",
-          source.c_str(), name.c_str());
-}
-
 /** One connected conversation with the daemon. */
 struct Session
 {
@@ -67,9 +54,12 @@ struct Session
         return sendAll(fd, wire);
     }
 
-    /** Block until one whole frame arrives; false on stream loss. */
+    /**
+     * Next whole frame; false on stream loss. With `wait` false, only
+     * bytes already received count: false once they run out.
+     */
     bool
-    readFrame(Frame &out)
+    readFrame(Frame &out, bool wait = true)
     {
         for (;;) {
             if (reader.next(out))
@@ -83,12 +73,31 @@ struct Session
                 // phase: everything else it does is simulation.
                 const obs::profiler::ScopedPhase timer(
                     obs::profiler::Phase::SocketWait);
-                n = recvSome(fd, bytes);
+                n = recvSome(fd, bytes, wait);
             }
             if (n <= 0)
                 return false;
             reader.feed(bytes.data(), bytes.size());
         }
+    }
+
+    /**
+     * Whether the daemon said NoWork{complete} in frames already
+     * received but not yet read. A daemon that finishes closes its
+     * socket, so the worker's next send can fail before it ever reads
+     * that frame; this tells the end of the campaign from a lost
+     * connection.
+     */
+    bool
+    completionPending()
+    {
+        Frame frame;
+        NoWork none;
+        while (readFrame(frame, false))
+            if (frame.type == MsgType::NoWork &&
+                decodeNoWork(frame.payload, none) && none.complete)
+                return true;
+        return false;
     }
 };
 
@@ -99,7 +108,6 @@ struct CampaignContext
     const fi::GoldenRun *golden = nullptr;
     fi::TargetRef target;
     fi::TargetGeometry geometry;
-    fi::FaultModel model = fi::FaultModel::Transient;
     fi::FaultSampler sampler;
     fi::InjectionOptions runOpts;
     fi::TargetProfile profile;
@@ -107,10 +115,11 @@ struct CampaignContext
 
 /**
  * Build and validate the campaign context from the first HelloAck.
- * Validation reuses checkJournalMatches by deriving the meta this
- * worker WOULD journal for its local golden and comparing it to the
- * daemon's — so every mismatch fatal (digest, ladder, prune, ...)
- * reads exactly like the resume/replay ones, naming both values.
+ * The meta is the daemon's authority on the campaign identity, so the
+ * worker self-configures from it (no launch flag can disagree), then
+ * validates its local golden through checkJournalMatches — so every
+ * mismatch fatal (digest, ladder, prune, ...) reads exactly like the
+ * resume/replay ones, naming both values.
  */
 CampaignContext
 makeContext(const store::JournalMeta &meta,
@@ -118,54 +127,21 @@ makeContext(const store::JournalMeta &meta,
 {
     CampaignContext ctx;
     ctx.meta = meta;
+    const fi::CampaignOptions copts = sched::campaignOptionsFor(meta);
     ctx.golden = &goldenFor(meta);
-    ctx.model = modelFromName(
-        meta.model, "daemon at " + endpoint.str());
     ctx.target = fi::targetByName(ctx.golden->checkpoint.view(),
                                   meta.target);
     const fi::TargetInfo info =
         fi::targetInfo(ctx.golden->checkpoint.view(), ctx.target);
     ctx.geometry = info.geometry;
-
-    fi::CampaignOptions copts;
-    copts.numFaults = static_cast<unsigned>(meta.numFaults);
-    copts.model = ctx.model;
-    // The meta's spec string (absent = legacy single-bit) is the
-    // daemon's authority on how indices expand to masks; the worker
-    // self-configures from it, so no launch flag can disagree.
-    copts.modelSpec = fi::FaultModelSpec::parse(meta.faultModel);
-    copts.seed = meta.seed;
-    copts.earlyTermination = meta.optEarlyTerm != 0;
-    copts.computeHvf = meta.optHvf != 0;
-    copts.timeoutFactor =
-        static_cast<double>(meta.timeoutFactorMilli) / 1000.0;
-    copts.ladderRungs = meta.ladderRungs;
-    copts.prune = meta.optPrune != 0;
-    // The meta carries the RESOLVED early-stop mode, so map it to the
-    // concrete setting (never Auto) before re-deriving the expected
-    // meta — resolveEarlyStop(On/Off) is ladder-independent.
-    copts.earlyStop =
-        meta.optEarlyStop
-            ? fi::CampaignOptions::EarlyStopSetting::On
-            : fi::CampaignOptions::EarlyStopSetting::Off;
-    copts.shardIndex = meta.shardIndex;
-    copts.shardCount = meta.shardCount;
-    copts.workloadName = meta.workload;
-    const store::JournalMeta expected =
-        sched::journalMetaFor(*ctx.golden, info, copts);
-    sched::checkJournalMatches(meta, expected,
-                               "dispatch " + endpoint.str());
+    sched::checkJournalMatches(
+        meta, sched::journalMetaFor(*ctx.golden, info, copts),
+        "dispatch " + endpoint.str());
 
     ctx.sampler =
-        fi::makeSampler(*ctx.golden, ctx.model, copts.modelSpec);
-    ctx.runOpts.earlyTermination = copts.earlyTermination;
-    ctx.runOpts.computeHvf = copts.computeHvf;
-    ctx.runOpts.timeoutFactor = copts.timeoutFactor;
-    ctx.runOpts.useLadder = true;
-    ctx.runOpts.earlyStop = meta.optEarlyStop
-                                ? fi::EarlyStopMode::On
-                                : fi::EarlyStopMode::Off;
-    if (copts.prune && ctx.model == fi::FaultModel::Transient)
+        fi::makeSampler(*ctx.golden, copts.model, copts.modelSpec);
+    ctx.runOpts = sched::injectionOptionsFor(copts, *ctx.golden);
+    if (copts.prune && copts.model == fi::FaultModel::Transient)
         ctx.profile =
             fi::profileTargetAccesses(*ctx.golden, ctx.target);
     return ctx;
@@ -377,6 +353,10 @@ runWorker(const WorkerConfig &config, const GoldenSource &goldenFor)
                      config.name.c_str(),
                      static_cast<unsigned long long>(grant.lease));
             }
+        }
+        if (session.completionPending()) {
+            report.campaignComplete = true;
+            return report;
         }
         // Connection lost: back off before reconnecting so a flapping
         // daemon isn't hammered, then start over from Hello.

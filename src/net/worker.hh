@@ -18,7 +18,9 @@
  * exponential backoff + deterministic jitter and simply starts over
  * from Hello. Verdicts that were already streamed stay journaled;
  * re-running a lost lease re-produces byte-identical records that the
- * daemon deduplicates.
+ * daemon deduplicates. Before reconnecting, the worker reads what the
+ * daemon already sent: a finished daemon queues NoWork{complete} and
+ * closes, so a failed send can mean the campaign is done.
  *
  * The golden run is supplied by a callback rather than built here:
  * the golden's ladder geometry comes from the daemon's meta, so the

@@ -1,106 +1,45 @@
 #include "sched/replay.hh"
 
 #include "common/log.hh"
-#include "soc/checkpoint.hh"
+#include "sched/scheduler.hh"
 
 namespace marvel::sched
 {
-
-namespace
-{
-
-fi::FaultModel
-modelFromName(const std::string &name)
-{
-    using fi::FaultModel;
-    for (int i = 0; i <= static_cast<int>(FaultModel::StuckAt1); ++i) {
-        const FaultModel m = static_cast<FaultModel>(i);
-        if (name == fi::faultModelName(m))
-            return m;
-    }
-    fatal("replay: journal names unknown fault model '%s'",
-          name.c_str());
-}
-
-} // namespace
 
 ReplaySetup
 replaySetup(const fi::GoldenRun &golden,
             const store::JournalMeta &meta, u64 index,
             const std::string &journalPath)
 {
-    // Mismatch messages must be actionable from a remote worker's
-    // log alone: name the journal file when the caller knows it, and
-    // always print both the found and the expected value.
-    const std::string journalDesc =
-        journalPath.empty() ? std::string("the journal")
-                            : "journal '" + journalPath + "'";
-    const char *journalName = journalDesc.c_str();
     if (index >= meta.numFaults)
         fatal("replay: fault index %llu out of range (%s records a "
               "campaign of %llu faults)",
-              static_cast<unsigned long long>(index), journalName,
+              static_cast<unsigned long long>(index),
+              journalPath.empty() ? "the journal" : journalPath.c_str(),
               static_cast<unsigned long long>(meta.numFaults));
 
-    const u64 digest = soc::archStateDigest(golden.checkpoint.view());
-    if (digest != meta.goldenDigest)
-        fatal("replay: golden-run digest is %016llx, but %s expects "
-              "%016llx — wrong workload, system config, or simulator "
-              "build",
-              static_cast<unsigned long long>(digest), journalName,
-              static_cast<unsigned long long>(meta.goldenDigest));
-    if (golden.windowCycles != meta.windowCycles)
-        fatal("replay: golden injection window is %llu cycles, but "
-              "%s expects %llu",
-              static_cast<unsigned long long>(golden.windowCycles),
-              journalName,
-              static_cast<unsigned long long>(meta.windowCycles));
-    // Same pattern as the digest/window checks above: the journal
-    // names the ladder geometry its campaign ran with, and a golden
-    // rebuilt with a different rung count means the caller's run
-    // options disagree with the journal (pruning decisions and rung
-    // telemetry would silently diverge).
-    if (golden.ladder.size() != meta.ladderRungs)
-        fatal("replay: golden checkpoint ladder has %zu rung(s), but "
-              "%s was recorded with %u — rebuild the golden with the "
-              "journal's ladder geometry (--ladder %u)",
-              golden.ladder.size(), journalName, meta.ladderRungs,
-              meta.ladderRungs);
-
+    // The golden must be the one the journal was recorded against:
+    // derive the meta this golden would journal under the journal's
+    // own options and compare, exactly as resume and dispatch do.
     ReplaySetup setup;
     setup.target =
         fi::targetByName(golden.checkpoint.view(), meta.target);
     const fi::TargetInfo info =
         fi::targetInfo(golden.checkpoint.view(), setup.target);
-    if (info.geometry.entries != meta.entries ||
-        info.geometry.bitsPerEntry != meta.bitsPerEntry)
-        fatal("replay: target '%s' geometry is %ux%u, but %s expects "
-              "%ux%u",
-              meta.target.c_str(), info.geometry.entries,
-              info.geometry.bitsPerEntry, journalName, meta.entries,
-              meta.bitsPerEntry);
+    const fi::CampaignOptions options = campaignOptionsFor(meta);
+    checkJournalMatches(meta, journalMetaFor(golden, info, options),
+                        journalPath.empty() ? "(replay)" : journalPath);
 
     // Identical derivation to the campaign worker: the fault mask for
     // index i is a pure function of (seed, i) plus the geometry and
-    // fault-model spec the journal just vouched for. An absent spec
-    // is the legacy single-bit draw.
+    // fault-model spec the journal just vouched for.
     const fi::FaultSampler sampler =
-        fi::makeSampler(golden, modelFromName(meta.model),
-                        fi::FaultModelSpec::parse(meta.faultModel));
+        fi::makeSampler(golden, options.model, options.modelSpec);
     Rng rng = Rng::forStream(meta.seed, index);
     setup.mask = sampler.sample(rng, setup.target, info.geometry,
                                 meta.windowCycles);
     setup.fault = setup.mask.faults.front();
-
-    setup.options.earlyTermination = meta.optEarlyTerm != 0;
-    setup.options.computeHvf = meta.optHvf != 0;
-    setup.options.timeoutFactor =
-        static_cast<double>(meta.timeoutFactorMilli) / 1000.0;
-    // The journal records the RESOLVED early-stop mode; replay runs
-    // the same configuration so provenance fields reproduce too.
-    setup.options.earlyStop = meta.optEarlyStop
-                                  ? fi::EarlyStopMode::On
-                                  : fi::EarlyStopMode::Off;
+    setup.options = injectionOptionsFor(options, golden);
     return setup;
 }
 

@@ -42,13 +42,12 @@ struct ReplaySetup
 
 /**
  * Build the replay setup for fault `index` of the journaled campaign.
- * Validates that the golden run matches the journal (architectural
- * digest, window length, ladder geometry, target geometry) and that
- * the index is in range; fatal() on any mismatch — a replay against
- * the wrong workload or build would silently produce garbage
- * verdicts. Pass `journalPath` when known so every mismatch message
- * names the offending file alongside the expected and found values
- * (a distributed campaign diagnoses these from worker logs).
+ * Validates that the index is in range and that the golden run
+ * matches the journal through checkJournalMatches (architectural
+ * digest, window length, ladder geometry, target geometry); fatal()
+ * on any mismatch — a replay against the wrong workload or build
+ * would silently produce garbage verdicts. Pass `journalPath` when
+ * known so every mismatch message names the offending file.
  */
 ReplaySetup replaySetup(const fi::GoldenRun &golden,
                         const store::JournalMeta &meta, u64 index,

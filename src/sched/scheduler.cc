@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -222,20 +223,6 @@ runFaultIndex(const fi::GoldenRun &golden,
     return fi::runWithFault(golden, mask, runOpts);
 }
 
-fi::RunVerdict
-runFaultIndex(const fi::GoldenRun &golden,
-              const fi::TargetRef &target,
-              const fi::TargetGeometry &geometry, u64 seed,
-              u64 index, fi::FaultModel model,
-              const fi::InjectionOptions &runOpts,
-              const fi::TargetProfile &profile)
-{
-    fi::FaultSampler sampler;
-    sampler.base = model;
-    return runFaultIndex(golden, target, geometry, seed, index,
-                         sampler, runOpts, profile);
-}
-
 store::JournalMeta
 journalMetaFor(const fi::GoldenRun &golden,
                const fi::TargetInfo &info,
@@ -277,6 +264,50 @@ journalMetaFor(const fi::GoldenRun &golden,
             ? 0
             : 1;
     return meta;
+}
+
+fi::CampaignOptions
+campaignOptionsFor(const store::JournalMeta &meta)
+{
+    fi::CampaignOptions options;
+    if (meta.numFaults > std::numeric_limits<unsigned>::max())
+        fatal("sched: journal meta records %llu faults, more than a "
+              "campaign can hold",
+              static_cast<unsigned long long>(meta.numFaults));
+    options.numFaults = static_cast<unsigned>(meta.numFaults);
+    options.model = fi::faultModelFromName(meta.model);
+    // Absent spec = the legacy uniform single-bit draw.
+    options.modelSpec = fi::FaultModelSpec::parse(meta.faultModel);
+    options.seed = meta.seed;
+    options.shardIndex = meta.shardIndex;
+    options.shardCount = meta.shardCount;
+    options.workloadName = meta.workload;
+    options.earlyTermination = meta.optEarlyTerm != 0;
+    options.computeHvf = meta.optHvf != 0;
+    options.timeoutFactor =
+        static_cast<double>(meta.timeoutFactorMilli) / 1000.0;
+    // The meta's ladder count and early-stop mode are already
+    // resolved against the golden it was written for, so rebuilding
+    // with them reproduces that geometry and that mode.
+    options.ladderRungs = meta.ladderRungs;
+    options.prune = meta.optPrune != 0;
+    options.earlyStop = meta.optEarlyStop
+                            ? fi::CampaignOptions::EarlyStopSetting::On
+                            : fi::CampaignOptions::EarlyStopSetting::Off;
+    return options;
+}
+
+fi::InjectionOptions
+injectionOptionsFor(const fi::CampaignOptions &options,
+                    const fi::GoldenRun &golden)
+{
+    fi::InjectionOptions runOpts;
+    runOpts.earlyTermination = options.earlyTermination;
+    runOpts.computeHvf = options.computeHvf;
+    runOpts.timeoutFactor = options.timeoutFactor;
+    runOpts.useLadder = options.useLadder;
+    runOpts.earlyStop = fi::resolveEarlyStop(options.earlyStop, golden);
+    return runOpts;
 }
 
 fi::CampaignResult
@@ -345,12 +376,8 @@ runCampaign(const fi::GoldenRun &golden, const fi::TargetRef &target,
         if (!done[i])
             pending.push_back(i);
 
-    fi::InjectionOptions runOpts;
-    runOpts.earlyTermination = options.earlyTermination;
-    runOpts.computeHvf = options.computeHvf;
-    runOpts.timeoutFactor = options.timeoutFactor;
-    runOpts.useLadder = options.useLadder;
-    runOpts.earlyStop = fi::resolveEarlyStop(options.earlyStop, golden);
+    const fi::InjectionOptions runOpts =
+        injectionOptionsFor(options, golden);
 
     // The sampler binds the fault-model spec once (resolving any pc
     // filter against a golden replay) so every leased index expands

@@ -2,11 +2,18 @@
  * @file
  * Resumable, sharded campaign scheduler.
  *
- * sched::runCampaign is the persistent superset of
- * fi::runCampaignOnGolden: the same per-index RNG streams and verdict
- * classification, dispatched from an atomic work queue, but with the
- * campaign's progress durably journaled (store/journal.hh) so a
- * killed process picks up where the journal ends.
+ * sched::runCampaign is the one campaign loop: fault indices are
+ * dispatched from an atomic work queue, each derives its fault from
+ * the (seed, index) RNG stream, and — when a journal path is set —
+ * every verdict is durably journaled (store/journal.hh) so a killed
+ * process picks up where the journal ends. Without a journal it is a
+ * plain in-memory campaign.
+ *
+ * Campaign identity makes one round-trip: journalMetaFor turns
+ * options plus a golden run into the journal meta record, and
+ * campaignOptionsFor turns a meta record back into options. Resume,
+ * replay, the dispatch daemon and its workers all configure
+ * themselves through that pair.
  *
  * Orchestration model:
  *  - A campaign of N faults is the index set {0..N-1}. Shard s of S
@@ -56,6 +63,21 @@ store::JournalMeta journalMetaFor(const fi::GoldenRun &golden,
                                   const fi::CampaignOptions &options);
 
 /**
+ * The inverse of journalMetaFor: the campaign options a journal meta
+ * records. Every identity field comes from the meta (early-stop as the
+ * resolved On/Off setting, never Auto), so for any golden run
+ * `journalMetaFor(golden, info, campaignOptionsFor(m)) == m` whenever
+ * `m` was written for that golden. Execution-only fields (threads,
+ * journal path, chunk size, telemetry) keep their defaults. fatal()
+ * on an unknown model name or spec.
+ */
+fi::CampaignOptions campaignOptionsFor(const store::JournalMeta &meta);
+
+/** The per-run options every fault index of a campaign runs with. */
+fi::InjectionOptions injectionOptionsFor(
+    const fi::CampaignOptions &options, const fi::GoldenRun &golden);
+
+/**
  * Run (or prune) ONE campaign fault index, exactly as the campaign
  * worker loop does: derive the fault from the (seed, index) RNG
  * stream, consult the prune profile when one is supplied, and
@@ -69,15 +91,6 @@ fi::RunVerdict runFaultIndex(const fi::GoldenRun &golden,
                              const fi::TargetGeometry &geometry,
                              u64 seed, u64 index,
                              const fi::FaultSampler &sampler,
-                             const fi::InjectionOptions &runOpts,
-                             const fi::TargetProfile &profile);
-
-/** Legacy-model convenience: a Single-kind sampler over `model`. */
-fi::RunVerdict runFaultIndex(const fi::GoldenRun &golden,
-                             const fi::TargetRef &target,
-                             const fi::TargetGeometry &geometry,
-                             u64 seed, u64 index,
-                             fi::FaultModel model,
                              const fi::InjectionOptions &runOpts,
                              const fi::TargetProfile &profile);
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 
 #include "accel/designs/designs.hh"
 #include "common/memmap.hh"
@@ -43,8 +44,10 @@ putU64(std::vector<u8> &buf, std::size_t idx, u64 v)
 /** Input staging buffers for one design (DRAM side of the DMAs). */
 struct DesignData
 {
-    /** Buffers in MMR-arg order: in buffers then the out buffer(s). */
-    std::vector<std::pair<std::string, std::vector<u8>>> buffers;
+    /** Buffers in MMR-arg order: in buffers then the out buffer(s).
+     *  A deque, so a buffer filled through the pointer inBuf/outBuf
+     *  return stays put while later buffers are appended. */
+    std::deque<std::pair<std::string, std::vector<u8>>> buffers;
     /** Number of MMR args that are inputs (rest are outputs). */
     unsigned numIn = 0;
     /** Total bytes DMA'd out (copied to OUTPUT by the driver). */

@@ -48,16 +48,13 @@
 #include "soc/checkpoint.hh"
 #include "store/journal.hh"
 #include "workloads/workloads.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
 namespace {
 
-std::string tmpPath(const std::string& name) {
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
+using testutil::tmpPath;
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -324,10 +321,10 @@ TEST(FaultModels, PruneRelabelsButNeverChangesOutcomes) {
             opts.seed = 555;
             opts.keepVerdicts = true;
             opts.prune = false;
-            const fi::CampaignResult plain = fi::runCampaignOnGolden(
+            const fi::CampaignResult plain = sched::runCampaign(
                 crcGolden(), {target}, opts);
             opts.prune = true;
-            const fi::CampaignResult pruned = fi::runCampaignOnGolden(
+            const fi::CampaignResult pruned = sched::runCampaign(
                 crcGolden(), {target}, opts);
             EXPECT_EQ(plain.masked, pruned.masked) << c.spec;
             EXPECT_EQ(plain.sdc, pruned.sdc) << c.spec;

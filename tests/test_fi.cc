@@ -28,6 +28,7 @@
 #include "soc/builder.hh"
 #include "store/journal.hh"
 #include "workloads/workloads.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
@@ -113,7 +114,7 @@ TEST(Sanity, Listing1MeasuresFullL1dAvf) {
     fi::CampaignOptions opts;
     opts.numFaults = 120;
     opts.threads = 1;
-    fi::CampaignResult res = fi::runCampaignOnGolden(
+    fi::CampaignResult res = sched::runCampaign(
         golden, {fi::TargetId::L1D}, opts);
     EXPECT_EQ(res.total(), 120u);
     EXPECT_DOUBLE_EQ(res.avf(), 1.0)
@@ -131,10 +132,10 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
     opts.seed = 1234;
     opts.threads = 1;
     const fi::CampaignResult one =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::PrfInt}, opts);
+        sched::runCampaign(golden, {fi::TargetId::PrfInt}, opts);
     opts.threads = 4;
     const fi::CampaignResult four =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::PrfInt}, opts);
+        sched::runCampaign(golden, {fi::TargetId::PrfInt}, opts);
     EXPECT_EQ(one.masked, four.masked);
     EXPECT_EQ(one.sdc, four.sdc);
     EXPECT_EQ(one.crash, four.crash);
@@ -149,10 +150,10 @@ TEST(Campaign, SeedChangesSample) {
     opts.threads = 1;
     opts.seed = 1;
     const auto a =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::L1D}, opts);
+        sched::runCampaign(golden, {fi::TargetId::L1D}, opts);
     opts.seed = 2;
     const auto b =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::L1D}, opts);
+        sched::runCampaign(golden, {fi::TargetId::L1D}, opts);
     // Different samples almost surely give different cycle counts.
     bool anyDifferent = false;
     for (std::size_t i = 0; i < a.verdicts.size(); ++i)
@@ -200,7 +201,7 @@ TEST(Campaign, HvfAtLeastAvf) {
     opts.threads = 2;
     for (fi::TargetId target : {fi::TargetId::PrfInt, fi::TargetId::L1D}) {
         const fi::CampaignResult res =
-            fi::runCampaignOnGolden(golden, {target}, opts);
+            sched::runCampaign(golden, {target}, opts);
         EXPECT_GE(res.hvf(), res.avf()) << fi::targetIdName(target);
     }
 }
@@ -235,7 +236,7 @@ TEST(Campaign, PermanentFaultCampaignRuns) {
     opts.model = fi::FaultModel::StuckAt1;
     opts.threads = 2;
     const fi::CampaignResult res =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::L1D}, opts);
+        sched::runCampaign(golden, {fi::TargetId::L1D}, opts);
     EXPECT_EQ(res.total(), 30u);
 }
 
@@ -276,7 +277,7 @@ TEST(Targets, RobAndRenameInjection) {
     for (fi::TargetId target :
          {fi::TargetId::Rob, fi::TargetId::RenameMap}) {
         const fi::CampaignResult res =
-            fi::runCampaignOnGolden(golden, {target}, opts);
+            sched::runCampaign(golden, {target}, opts);
         EXPECT_EQ(res.total(), 25u) << fi::targetIdName(target);
         // Rename-map corruption redirects architectural reads: it must
         // not be fully masked.
@@ -356,7 +357,7 @@ TEST(Metrics, PropagationBreakdownPartitionsFaults) {
     opts.computeHvf = true;
     opts.keepVerdicts = true;
     opts.threads = 2;
-    const fi::CampaignResult res = fi::runCampaignOnGolden(
+    const fi::CampaignResult res = sched::runCampaign(
         golden, {fi::TargetId::PrfInt}, opts);
     const fi::PropagationBreakdown pb = fi::propagationBreakdown(res);
     EXPECT_EQ(pb.total(), res.total());
@@ -382,7 +383,7 @@ TEST(Metrics, PropagationBreakdownAgreesWithLineage) {
     opts.keepVerdicts = true;
     opts.threads = 2;
     const fi::CampaignResult res =
-        fi::runCampaignOnGolden(golden, target, opts);
+        sched::runCampaign(golden, target, opts);
     const fi::PropagationBreakdown pb = fi::propagationBreakdown(res);
 
     const fi::TargetGeometry geometry =
@@ -444,7 +445,7 @@ TEST(Targets, BtbFaultsAreAlwaysArchitecturallyMasked) {
     opts.numFaults = 40;
     opts.threads = 2;
     const fi::CampaignResult res =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::Btb}, opts);
+        sched::runCampaign(golden, {fi::TargetId::Btb}, opts);
     EXPECT_EQ(res.total(), 40u);
     EXPECT_DOUBLE_EQ(res.avf(), 0.0)
         << "sdc=" << res.sdc << " crash=" << res.crash;
@@ -474,11 +475,7 @@ std::string journalVerdictBytes(const std::string& path) {
     return out.str();
 }
 
-std::string ladderTmp(const std::string& name) {
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
+using testutil::tmpPath;
 
 } // namespace
 
@@ -507,13 +504,13 @@ TEST(Ladder, CampaignJournalsBitIdenticalWithAndWithoutFastForward) {
         opts.workloadName = "crc32";
         opts.heartbeatSeconds = 0;
 
-        const std::string onPath = ladderTmp("fi_ladder_on.jsonl");
+        const std::string onPath = tmpPath("fi_ladder_on.jsonl");
         opts.useLadder = true;
         opts.journalPath = onPath;
         const fi::CampaignResult on =
             sched::runCampaign(golden, {target}, opts);
 
-        const std::string offPath = ladderTmp("fi_ladder_off.jsonl");
+        const std::string offPath = tmpPath("fi_ladder_off.jsonl");
         opts.useLadder = false;
         opts.journalPath = offPath;
         const fi::CampaignResult off =
@@ -547,7 +544,7 @@ TEST(Ladder, PrunedFaultsForceSimulateToMasked) {
     for (fi::TargetId target :
          {fi::TargetId::PrfInt, fi::TargetId::L1D}) {
         const fi::CampaignResult res =
-            fi::runCampaignOnGolden(golden, {target}, opts);
+            sched::runCampaign(golden, {target}, opts);
         EXPECT_EQ(res.pruned,
                   static_cast<u64>(std::count_if(
                       res.verdicts.begin(), res.verdicts.end(),
@@ -588,10 +585,10 @@ TEST(Ladder, PruningNeverChangesOutcomeCounts) {
     opts.threads = 2;
     opts.prune = false;
     const fi::CampaignResult plain =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::PrfInt}, opts);
+        sched::runCampaign(golden, {fi::TargetId::PrfInt}, opts);
     opts.prune = true;
     const fi::CampaignResult pruned =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::PrfInt}, opts);
+        sched::runCampaign(golden, {fi::TargetId::PrfInt}, opts);
     EXPECT_EQ(plain.masked, pruned.masked);
     EXPECT_EQ(plain.sdc, pruned.sdc);
     EXPECT_EQ(plain.crash, pruned.crash);
@@ -682,7 +679,7 @@ TEST(Classify, CampaignTalliesMaskedInAccel) {
     opts.threads = 2;
     opts.keepVerdicts = true;
     const fi::CampaignResult res =
-        fi::runCampaignOnGolden(golden, seq, opts);
+        sched::runCampaign(golden, seq, opts);
     EXPECT_EQ(res.maskedInAccel,
               static_cast<u64>(std::count_if(
                   res.verdicts.begin(), res.verdicts.end(),
@@ -714,12 +711,12 @@ TEST(Ladder, SystolicJournalsBitIdenticalWithAndWithoutFastForward) {
     opts.workloadName = "gemm_systolic";
     opts.heartbeatSeconds = 0;
 
-    const std::string onPath = ladderTmp("fi_sys_ladder_on.jsonl");
+    const std::string onPath = tmpPath("fi_sys_ladder_on.jsonl");
     opts.useLadder = true;
     opts.journalPath = onPath;
     const fi::CampaignResult on = sched::runCampaign(golden, acc, opts);
 
-    const std::string offPath = ladderTmp("fi_sys_ladder_off.jsonl");
+    const std::string offPath = tmpPath("fi_sys_ladder_off.jsonl");
     opts.useLadder = false;
     opts.journalPath = offPath;
     const fi::CampaignResult off = sched::runCampaign(golden, acc, opts);
@@ -739,7 +736,7 @@ TEST(Ladder, SystolicJournalsBitIdenticalWithAndWithoutFastForward) {
     for (u32 s = 0; s < 3; ++s) {
         fi::CampaignOptions shardOpts = opts;
         shardOpts.journalPath =
-            ladderTmp(strfmt("fi_sys_shard%u.jsonl", s));
+            tmpPath(strfmt("fi_sys_shard%u.jsonl", s));
         shardOpts.shardIndex = s;
         shardOpts.shardCount = 3;
         sched::runCampaign(golden, acc, shardOpts);

@@ -16,17 +16,14 @@
 #include "common/log.hh"
 #include "fuzz/fuzz.hh"
 #include "mir/interp.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
 namespace
 {
 
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
+using testutil::tmpPath;
 
 /** Flip globals in the compiled image: a deterministic "miscompile". */
 void

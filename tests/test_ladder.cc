@@ -19,6 +19,7 @@
 #include "fi/campaign.hh"
 #include "fi/targets.hh"
 #include "sched/replay.hh"
+#include "sched/scheduler.hh"
 #include "soc/builder.hh"
 #include "soc/checkpoint.hh"
 #include "stats/diff.hh"
@@ -291,10 +292,10 @@ TEST(LadderCampaign, ResultsIdenticalWithAndWithoutFastForward) {
     opts.keepVerdicts = true;
     opts.useLadder = true;
     const fi::CampaignResult on =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::PrfInt}, opts);
+        sched::runCampaign(golden, {fi::TargetId::PrfInt}, opts);
     opts.useLadder = false;
     const fi::CampaignResult off =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::PrfInt}, opts);
+        sched::runCampaign(golden, {fi::TargetId::PrfInt}, opts);
     ASSERT_EQ(on.verdicts.size(), off.verdicts.size());
     for (std::size_t i = 0; i < on.verdicts.size(); ++i)
         EXPECT_TRUE(

@@ -31,16 +31,13 @@
 #include "common/rng.hh"
 #include "fi/fault.hh"
 #include "fi/models.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
 namespace {
 
-std::string tmpPath(const std::string& name) {
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
+using testutil::tmpPath;
 
 void spit(const std::string& path, const std::string& content) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

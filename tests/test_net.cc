@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,16 +45,13 @@
 #include "store/journal.hh"
 #include "store/leasetab.hh"
 #include "workloads/workloads.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
 namespace {
 
-std::string tmpPath(const std::string& name) {
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
+using testutil::tmpPath;
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -732,6 +730,72 @@ TEST(Dispatch, WorkerRefusesMismatchedCampaignIdentity) {
 
     stop.store(true);
     daemonThread.join();
+}
+
+TEST(Dispatch, WorkerSeesCompletionQueuedBeforeFailedSend) {
+    // A daemon that finishes queues NoWork{complete} to its workers
+    // and closes. A worker whose next send then fails has not read
+    // that frame yet; it must finish cleanly instead of reconnecting
+    // to a daemon that is gone. A scripted peer makes the ordering
+    // exact: it closes before the worker's first LeaseRequest.
+    const fi::GoldenRun& golden = sharedGolden();
+    const net::Endpoint endpoint =
+        net::parseEndpoint("unix:" + tmpPath("net_done.sock"));
+    const int listenFd = net::listenOn(endpoint);
+    std::promise<void> peerClosed;
+    std::thread peer([&] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        auto pastDeadline = [&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            return std::chrono::steady_clock::now() > deadline;
+        };
+        int fd = -1;
+        while ((fd = net::acceptOn(listenFd)) < 0 && !pastDeadline()) {
+        }
+        net::FrameReader reader;
+        net::Frame hello;
+        while (fd >= 0 && !reader.next(hello) && !pastDeadline()) {
+            std::string bytes;
+            if (net::recvSome(fd, bytes) > 0)
+                reader.feed(bytes.data(), bytes.size());
+        }
+        net::HelloAck ack;
+        ack.meta = metaFor(baseOptions());
+        net::NoWork done;
+        done.complete = true;
+        std::string wire;
+        net::encodeFrame({net::MsgType::HelloAck, net::encodeHelloAck(ack)},
+                         wire);
+        net::encodeFrame({net::MsgType::NoWork, net::encodeNoWork(done)},
+                         wire);
+        if (fd >= 0) {
+            net::sendAll(fd, wire);
+            ::close(fd);
+        }
+        ::close(listenFd);
+        std::remove(endpoint.path.c_str());
+        peerClosed.set_value();
+    });
+
+    net::WorkerConfig wcfg;
+    wcfg.endpoint = endpoint;
+    wcfg.name = "w-done";
+    wcfg.connectAttempts = 1;
+    wcfg.backoffBaseMillis = 1;
+    wcfg.backoffCapMillis = 2;
+    const std::future<void> closed = peerClosed.get_future();
+    const net::GoldenSource goldenFor =
+        [&](const store::JournalMeta&) -> const fi::GoldenRun& {
+        closed.wait(); // the worker's next step is its first send
+        return golden;
+    };
+    net::WorkerReport report;
+    EXPECT_NO_THROW(report = net::runWorker(wcfg, goldenFor));
+    peer.join();
+    EXPECT_TRUE(report.campaignComplete);
+    EXPECT_EQ(report.reconnects, 0u);
+    EXPECT_EQ(report.verdictsStreamed, 0u);
 }
 
 // --- observability over the wire -------------------------------------------

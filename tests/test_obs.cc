@@ -40,6 +40,7 @@
 #include "stats/stats.hh"
 #include "store/journal.hh"
 #include "workloads/workloads.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
@@ -65,8 +66,7 @@ struct SharedCampaign {
 const SharedCampaign& sharedCampaign() {
     static const SharedCampaign shared = [] {
         SharedCampaign s;
-        s.journalPath = testing::TempDir() + "obs_campaign.jsonl";
-        std::remove(s.journalPath.c_str());
+        s.journalPath = testutil::tmpPath("obs_campaign.jsonl");
         fi::CampaignOptions opts;
         opts.numFaults = 24;
         opts.seed = 1234; // yields HVF corruptions (SDC + crash)
@@ -367,9 +367,7 @@ TEST(Obs, LineageExplainsHvfVerdicts) {
 
 TEST(Obs, CampaignTelemetryConsistent) {
     const fi::GoldenRun& golden = sharedGolden();
-    const std::string path =
-        testing::TempDir() + "obs_telemetry.jsonl";
-    std::remove(path.c_str());
+    const std::string path = testutil::tmpPath("obs_telemetry.jsonl");
 
     fi::CampaignOptions opts;
     opts.numFaults = 16;

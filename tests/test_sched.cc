@@ -3,8 +3,10 @@
  * Scheduler tests:
  *  - the atomic work queue hands out every slot exactly once under
  *    thread contention;
- *  - sched::runCampaign (journal off) matches the in-memory
- *    fi::runCampaignOnGolden bit-for-bit;
+ *  - sched::runCampaign with a journal matches the same campaign
+ *    without one bit-for-bit;
+ *  - journal meta and campaign options round-trip:
+ *    journalMetaFor(campaignOptionsFor(m)) == m;
  *  - resume determinism: a campaign killed mid-run (journal cut
  *    after >= 1 committed chunk, with a torn tail) resumes to the
  *    exact counts of an uninterrupted run;
@@ -33,16 +35,13 @@
 #include "soc/builder.hh"
 #include "store/journal.hh"
 #include "workloads/workloads.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
 namespace {
 
-std::string tmpPath(const std::string& name) {
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
+using testutil::tmpPath;
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -106,18 +105,78 @@ TEST(Sched, MatchesInMemoryCampaign) {
     const fi::GoldenRun& golden = sharedGolden();
     fi::CampaignOptions opts = baseOptions();
     opts.keepVerdicts = true;
-    const fi::CampaignResult inMemory = fi::runCampaignOnGolden(
-        golden, {fi::TargetId::PrfInt}, opts);
-    const fi::CampaignResult sched =
+    const fi::CampaignResult inMemory =
         sched::runCampaign(golden, {fi::TargetId::PrfInt}, opts);
-    expectSameCounts(inMemory, sched);
-    ASSERT_EQ(sched.verdicts.size(), inMemory.verdicts.size());
-    for (std::size_t i = 0; i < sched.verdicts.size(); ++i) {
-        EXPECT_EQ(sched.verdicts[i].outcome,
-                  inMemory.verdicts[i].outcome);
-        EXPECT_EQ(sched.verdicts[i].cyclesRun,
-                  inMemory.verdicts[i].cyclesRun);
+    opts.journalPath = tmpPath("sched_in_memory.jsonl");
+    const fi::CampaignResult journaled =
+        sched::runCampaign(golden, {fi::TargetId::PrfInt}, opts);
+    expectSameCounts(inMemory, journaled);
+    ASSERT_EQ(journaled.verdicts.size(), inMemory.verdicts.size());
+    for (std::size_t i = 0; i < journaled.verdicts.size(); ++i)
+        EXPECT_TRUE(sched::verdictsIdentical(journaled.verdicts[i],
+                                             inMemory.verdicts[i]))
+            << "fault " << i;
+    const store::Journal journal = store::readJournal(opts.journalPath);
+    ASSERT_EQ(journal.verdicts.size(), inMemory.verdicts.size());
+    for (const store::JournalVerdict& jv : journal.verdicts)
+        EXPECT_TRUE(sched::verdictsIdentical(
+            jv.verdict, inMemory.verdicts[jv.idx]))
+            << "fault " << jv.idx;
+}
+
+TEST(Sched, JournalMetaRoundTripsThroughCampaignOptions) {
+    // campaignOptionsFor is the only way a meta becomes options
+    // (resume, replay, daemon restart, worker self-configuration), so
+    // it must invert journalMetaFor on every identity field.
+    using Stop = fi::CampaignOptions::EarlyStopSetting;
+    const workloads::Workload wl = workloads::get("crc32");
+    const fi::GoldenRun laddered = fi::runGolden(
+        soc::preset("riscv"),
+        isa::compile(wl.module, isa::IsaKind::RISCV), 500'000'000, 4);
+    const fi::GoldenRun* goldens[2] = {&sharedGolden(), &laddered};
+    const char* specs[] = {"", "burst k=3", "scatter k=2",
+                           "targeted entry=0:3 bit=0:0 cycle=0:1000"};
+    const fi::FaultModel models[] = {fi::FaultModel::Transient,
+                                     fi::FaultModel::StuckAt0,
+                                     fi::FaultModel::StuckAt1};
+    const Stop stops[] = {Stop::Off, Stop::On, Stop::Auto};
+    // Each journalMetaFor digests the golden state, so rather than the
+    // full product, 24 points where every value of every field occurs
+    // and the fields vary with different strides.
+    for (unsigned i = 0; i < 24; ++i) {
+        const fi::GoldenRun& golden = *goldens[i % 2];
+        const fi::TargetInfo info = fi::targetInfo(
+            golden.checkpoint.view(), {fi::TargetId::PrfInt});
+        fi::CampaignOptions opts = baseOptions();
+        opts.model = models[i % 3];
+        opts.modelSpec = fi::FaultModelSpec::parse(specs[i % 4]);
+        opts.ladderRungs = static_cast<unsigned>(golden.ladder.size());
+        opts.earlyStop = stops[(i / 4) % 3];
+        opts.prune = (i >> 1) & 1;
+        opts.computeHvf = (i >> 2) & 1;
+        opts.earlyTermination = (i >> 3) & 1;
+        opts.timeoutFactor = (i / 3) % 2 ? 2.5 : 8.0;
+        opts.shardIndex = (i / 6) % 2 ? 2 : 0;
+        opts.shardCount = opts.shardIndex + 1;
+        const store::JournalMeta meta =
+            sched::journalMetaFor(golden, info, opts);
+        const store::JournalMeta back = sched::journalMetaFor(
+            golden, info, sched::campaignOptionsFor(meta));
+        EXPECT_TRUE(back == meta)
+            << "\n  have " << store::formatMetaLine(back)
+            << "\n  want " << store::formatMetaLine(meta);
     }
+
+    const fi::TargetInfo prf = fi::targetInfo(
+        sharedGolden().checkpoint.view(), {fi::TargetId::PrfInt});
+    const store::JournalMeta base =
+        sched::journalMetaFor(sharedGolden(), prf, baseOptions());
+    store::JournalMeta bad = base;
+    bad.model = "cosmic-ray";
+    EXPECT_THROW(sched::campaignOptionsFor(bad), FatalError);
+    bad = base;
+    bad.numFaults = 1ull << 33; // would truncate to another campaign
+    EXPECT_THROW(sched::campaignOptionsFor(bad), FatalError);
 }
 
 TEST(Sched, JournaledCampaignIsComplete) {

@@ -47,16 +47,13 @@
 #include "soc/checkpoint.hh"
 #include "store/journal.hh"
 #include "workloads/workloads.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
 namespace {
 
-std::string tmpPath(const std::string& name) {
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
+using testutil::tmpPath;
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -172,10 +169,10 @@ TEST(ShortCircuit, InMemoryCampaignIdenticalOnVsOff) {
     opts.computeHvf = true;
     opts.earlyStop = fi::CampaignOptions::EarlyStopSetting::On;
     const fi::CampaignResult on =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::Rob}, opts);
+        sched::runCampaign(golden, {fi::TargetId::Rob}, opts);
     opts.earlyStop = fi::CampaignOptions::EarlyStopSetting::Off;
     const fi::CampaignResult off =
-        fi::runCampaignOnGolden(golden, {fi::TargetId::Rob}, opts);
+        sched::runCampaign(golden, {fi::TargetId::Rob}, opts);
 
     expectSameCounts(on, off);
     ASSERT_EQ(on.verdicts.size(), off.verdicts.size());

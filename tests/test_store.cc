@@ -24,16 +24,13 @@
 #include "store/journal.hh"
 #include "store/serialize.hh"
 #include "workloads/workloads.hh"
+#include "tmp_path.hh"
 
 using namespace marvel;
 
 namespace {
 
-std::string tmpPath(const std::string& name) {
-    const std::string path = testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
+using testutil::tmpPath;
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);

@@ -2,14 +2,14 @@
  * @file
  * marvel-campaign — persistent, resumable, sharded batch campaigns.
  *
- * Where marvel-cli runs one in-memory campaign, marvel-campaign is
- * the batch front end to the store/sched subsystem: every verdict is
- * journaled to a crash-safe JSONL file, a killed run continues from
- * its journal, and a campaign can be split across processes by shard.
+ * marvel-campaign is the campaign front end to the store/sched
+ * subsystem: every verdict is journaled to a crash-safe JSONL file, a
+ * killed run continues from its journal, and a campaign can be split
+ * across processes by shard.
  *
  * Usage:
  *   marvel-campaign run    --workload sha --target l1d \
- *                          --journal camp.jsonl [--shard 0/4] [opts]
+ *                          [--journal camp.jsonl] [--shard 0/4] [opts]
  *   marvel-campaign resume --workload sha --journal camp.jsonl [opts]
  *   marvel-campaign status --journal camp.jsonl [--journal ...]
  *                          [--follow] | --connect ADDR
@@ -19,7 +19,8 @@
  * Subcommands:
  *   run     start a (shard of a) campaign, journaling every verdict.
  *           Re-running over an existing journal refuses unless
- *           --resume / the resume subcommand is used.
+ *           --resume / the resume subcommand is used. Without
+ *           --journal the campaign runs in memory and only reports.
  *   resume  re-execute the golden run, validate the journal identity
  *           (seed, sample, model, target, golden digest), and run
  *           only the fault indices the journal is missing. Campaign
@@ -52,7 +53,7 @@
  * Options (run/resume):
  *   --preset NAME      riscv | arm | x86 | *-soc     (default riscv)
  *   --config FILE      INI system description (overrides --preset)
- *   --workload W / --driver D   workload selection (as marvel-cli)
+ *   --workload W / --driver D   MiBench kernel or accelerator driver
  *   --target T         injectable structure          (run only)
  *   --faults N         sample size                   (default 200)
  *   --model M          transient | stuck-at-0 | stuck-at-1
@@ -67,7 +68,8 @@
  *   --shard I/N        own fault indices i with i%N == I
  *   --chunk N          verdicts per fsync'd chunk    (default 32)
  *   --save-golden F    also persist the golden-run record blob
- *   --hvf / --no-early-term     as marvel-cli
+ *   --hvf              also compute HVF on the same runs
+ *   --no-early-term    disable the SIV-B speed optimizations
  */
 
 #include <algorithm>
@@ -141,6 +143,7 @@ const cli::Tool kTool = {
     "marvel-campaign",
     "usage: marvel-campaign {run|resume|status|merge|report} "
     "--journal FILE [--journal FILE ...]\n"
+    "  (run without --journal runs in memory and only reports)\n"
     "  run/resume: [--preset P] [--config F] [--workload W] "
     "[--driver D]\n"
     "              [--target T] [--faults N] [--model M] "
@@ -227,15 +230,7 @@ parseArgs(int argc, char **argv)
             opts.shardCount = static_cast<u32>(std::strtoul(
                 spec.substr(slash + 1).c_str(), nullptr, 10));
         } else if (arg == "--model") {
-            const std::string m = next();
-            if (m == "transient")
-                opts.model = fi::FaultModel::Transient;
-            else if (m == "stuck-at-0")
-                opts.model = fi::FaultModel::StuckAt0;
-            else if (m == "stuck-at-1")
-                opts.model = fi::FaultModel::StuckAt1;
-            else
-                usageError("unknown fault model", m);
+            opts.model = fi::faultModelFromName(next());
         } else if (arg == "--fault-model") {
             opts.faultModel = next();
             opts.faultModelSet = true;
@@ -353,19 +348,6 @@ workloadFor(const Options &opts)
     fatal("marvel-campaign: need --workload or --driver");
 }
 
-fi::FaultModel
-modelFromName(const std::string &name)
-{
-    if (name == "transient")
-        return fi::FaultModel::Transient;
-    if (name == "stuck-at-0")
-        return fi::FaultModel::StuckAt0;
-    if (name == "stuck-at-1")
-        return fi::FaultModel::StuckAt1;
-    fatal("marvel-campaign: journal names unknown model '%s'",
-          name.c_str());
-}
-
 void
 printResult(const std::string &title, const fi::CampaignResult &res,
             bool hvf)
@@ -441,33 +423,17 @@ goldenFor(const Options &opts, const workloads::Workload &wl,
 int
 cmdRun(const Options &opts, bool resume)
 {
-    if (opts.journals.size() != 1)
-        fatal("marvel-campaign: %s needs exactly one --journal",
-              resume ? "resume" : "run");
-    const std::string &journalPath = opts.journals[0];
+    if (opts.journals.size() > 1 || (resume && opts.journals.empty()))
+        fatal("marvel-campaign: %s takes %s --journal",
+              resume ? "resume" : "run",
+              resume ? "exactly one" : "at most one");
+    const std::string journalPath =
+        opts.journals.empty() ? std::string() : opts.journals[0];
 
     const soc::SystemConfig cfg = systemFor(opts);
     const workloads::Workload wl = workloadFor(opts);
 
     fi::CampaignOptions copts;
-    copts.numFaults = opts.faults;
-    copts.model = opts.model;
-    copts.modelSpec = modelSpecFor(opts);
-    copts.seed = opts.seed;
-    copts.threads = opts.threads;
-    copts.computeHvf = opts.hvf;
-    copts.earlyTermination = opts.earlyTerm;
-    copts.journalPath = journalPath;
-    copts.resume = resume;
-    copts.shardIndex = opts.shardIndex;
-    copts.shardCount = opts.shardCount;
-    copts.chunkSize = opts.chunkSize;
-    copts.workloadName = wl.name;
-    copts.ladderRungs = ladderRungsFor(opts);
-    copts.useLadder = opts.useLadder;
-    copts.prune = opts.prune;
-    copts.earlyStop = opts.earlyStop;
-
     std::string targetName = opts.target;
     if (resume) {
         // The journal's meta record is the campaign identity; the
@@ -478,34 +444,7 @@ cmdRun(const Options &opts, bool resume)
         const store::Journal journal =
             store::readJournal(journalPath);
         const store::JournalMeta &meta = journal.meta;
-        copts.numFaults = static_cast<unsigned>(meta.numFaults);
-        copts.seed = meta.seed;
-        copts.model = modelFromName(meta.model);
-        // The journaled spec wins over any flag/config: a resume
-        // continues the recorded fault population (absent field =
-        // legacy single-bit). checkJournalMatches would reject a
-        // disagreement anyway; re-deriving from the meta makes the
-        // launch flags optional.
-        copts.modelSpec = fi::FaultModelSpec::parse(meta.faultModel);
-        copts.shardIndex = meta.shardIndex;
-        copts.shardCount = meta.shardCount;
-        // Run options shape verdicts, so the journal's record wins
-        // over the command line — a resume continues the campaign
-        // that was started, not a subtly different one.
-        copts.computeHvf = meta.optHvf != 0;
-        copts.earlyTermination = meta.optEarlyTerm != 0;
-        copts.timeoutFactor =
-            static_cast<double>(meta.timeoutFactorMilli) / 1000.0;
-        // The meta's ladder count is already resolved (never auto),
-        // so rebuilding with it reproduces the journaled geometry;
-        // pruning is likewise part of the campaign identity.
-        copts.ladderRungs = meta.ladderRungs;
-        copts.prune = meta.optPrune != 0;
-        // The meta's early-stop mode is likewise resolved on/off.
-        copts.earlyStop =
-            meta.optEarlyStop
-                ? fi::CampaignOptions::EarlyStopSetting::On
-                : fi::CampaignOptions::EarlyStopSetting::Off;
+        copts = sched::campaignOptionsFor(meta);
         targetName = meta.target;
         std::printf("resuming %s: %llu/%llu verdicts journaled%s\n",
                     journalPath.c_str(),
@@ -520,11 +459,28 @@ cmdRun(const Options &opts, bool resume)
     } else {
         if (targetName.empty())
             fatal("marvel-campaign: run needs --target");
-        if (store::journalExists(journalPath))
+        if (!journalPath.empty() && store::journalExists(journalPath))
             fatal("marvel-campaign: journal '%s' already exists; "
                   "use `resume` to continue it or remove it first",
                   journalPath.c_str());
+        copts.numFaults = opts.faults;
+        copts.model = opts.model;
+        copts.modelSpec = modelSpecFor(opts);
+        copts.seed = opts.seed;
+        copts.computeHvf = opts.hvf;
+        copts.earlyTermination = opts.earlyTerm;
+        copts.shardIndex = opts.shardIndex;
+        copts.shardCount = opts.shardCount;
+        copts.ladderRungs = ladderRungsFor(opts);
+        copts.prune = opts.prune;
+        copts.earlyStop = opts.earlyStop;
     }
+    copts.threads = opts.threads;
+    copts.journalPath = journalPath;
+    copts.resume = resume;
+    copts.chunkSize = opts.chunkSize;
+    copts.workloadName = wl.name;
+    copts.useLadder = opts.useLadder;
 
     const fi::GoldenRun golden =
         goldenFor(opts, wl, cfg, copts.ladderRungs);

@@ -137,15 +137,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--chunk")
             opts.chunk = std::strtoull(next().c_str(), nullptr, 10);
         else if (arg == "--model") {
-            const std::string m = next();
-            if (m == "transient")
-                opts.model = fi::FaultModel::Transient;
-            else if (m == "stuck-at-0")
-                opts.model = fi::FaultModel::StuckAt0;
-            else if (m == "stuck-at-1")
-                opts.model = fi::FaultModel::StuckAt1;
-            else
-                cli::usageError(kTool, "unknown fault model", m);
+            opts.model = fi::faultModelFromName(next());
         } else if (arg == "--fault-model") {
             opts.faultModel = next();
             opts.faultModelSet = true;
@@ -257,31 +249,11 @@ runDaemon(const Options &opts)
     // command line only needs to rebuild the same golden run (same
     // rule as `marvel-campaign resume`).
     if (store::journalExists(opts.journal)) {
-        const store::Journal journal =
-            store::readJournal(opts.journal);
-        const store::JournalMeta &meta = journal.meta;
-        copts.numFaults = static_cast<unsigned>(meta.numFaults);
-        copts.seed = meta.seed;
-        copts.computeHvf = meta.optHvf != 0;
-        copts.earlyTermination = meta.optEarlyTerm != 0;
-        copts.timeoutFactor =
-            static_cast<double>(meta.timeoutFactorMilli) / 1000.0;
-        copts.ladderRungs = meta.ladderRungs;
-        copts.prune = meta.optPrune != 0;
-        copts.earlyStop =
-            meta.optEarlyStop
-                ? fi::CampaignOptions::EarlyStopSetting::On
-                : fi::CampaignOptions::EarlyStopSetting::Off;
+        const store::JournalMeta meta =
+            store::readJournal(opts.journal).meta;
+        copts = sched::campaignOptionsFor(meta);
+        copts.workloadName = wl.name;
         targetName = meta.target;
-        // The journaled spec wins over flags/config on resume, same
-        // as every other identity field.
-        copts.modelSpec = fi::FaultModelSpec::parse(meta.faultModel);
-        if (meta.model == "transient")
-            copts.model = fi::FaultModel::Transient;
-        else if (meta.model == "stuck-at-0")
-            copts.model = fi::FaultModel::StuckAt0;
-        else if (meta.model == "stuck-at-1")
-            copts.model = fi::FaultModel::StuckAt1;
     } else if (targetName.empty()) {
         fatal("marvel-campaignd: need --target (or an existing "
               "journal to resume)");

@@ -1,45 +1,32 @@
 /**
  * @file
- * marvel-cli — command-line fault-injection campaigns.
+ * marvel-cli — interactive front end: injectable targets, workloads,
+ * single fault masks and stats dumps.
  *
- * Mirrors the paper's Fig. 2 campaign layout: pick a hardware
- * configuration (preset or config file), a workload (MiBench kernel or
- * accelerator driver), a target structure, a fault model, and a sample
- * size; the tool runs the golden run, the parallel faulty runs, and
- * prints the AVF/HVF report. Individual fault masks can also be
- * replayed for debugging.
+ * Pick a hardware configuration (preset or config file) and a workload
+ * (MiBench kernel or accelerator driver); list what can be injected,
+ * replay one fault mask for debugging, or dump a run's stats tree.
+ * Statistical campaigns (paper Fig. 2) run through marvel-campaign.
  *
  * Usage:
  *   marvel-cli targets  [--preset riscv-soc]
  *   marvel-cli list-workloads
- *   marvel-cli campaign --workload sha --target l1d [options]
- *   marvel-cli campaign --driver gemm --target gemm.MATRIX1 [options]
  *   marvel-cli replay   --workload sha --mask "l1d entry=3 bit=77 ..."
  *   marvel-cli stats    --workload sha [--json FILE]
  *
  * Options:
  *   --preset NAME      riscv | arm | x86 | *-soc     (default riscv)
  *   --config FILE      INI system description (overrides --preset)
- *   --faults N         sample size                   (default 200)
- *   --model M          transient | stuck-at-0 | stuck-at-1
- *   --seed N           campaign seed                 (default 0x5eed)
- *   --threads N        parallel workers              (default: hw)
- *   --hvf              also compute HVF on the same runs
- *   --no-early-term    disable the SIV-B speed optimizations
  *   --json FILE        (stats) also dump the stats tree as JSON
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 
 #include "accel/designs/designs.hh"
 #include "common/cli.hh"
 #include "common/table.hh"
 #include "fi/campaign.hh"
-#include "fi/metrics.hh"
 #include "obs/profiler.hh"
 #include "soc/builder.hh"
 #include "stats/stats.hh"
@@ -57,26 +44,17 @@ struct Options
     std::string configFile;
     std::string workload;
     std::string driver;
-    std::string target;
     std::string mask;
     std::string jsonPath;
-    unsigned faults = 200;
-    fi::FaultModel model = fi::FaultModel::Transient;
-    u64 seed = 0x5eed;
-    unsigned threads = 0;
-    bool hvf = false;
-    bool earlyTerm = true;
 };
 
 const cli::Tool kTool = {
     "marvel-cli",
-    "usage: marvel-cli "
-    "{targets|list-workloads|campaign|replay|stats} "
+    "usage: marvel-cli {targets|list-workloads|replay|stats} "
     "[--preset P] [--config F] [--workload W] "
-    "[--driver D] [--target T] [--faults N] [--model M] "
-    "[--seed S] [--threads N] [--hvf] [--no-early-term] "
-    "[--mask \"...\"] [--json FILE]\n"
-    "       marvel-cli --help | --version\n",
+    "[--driver D] [--mask \"...\"] [--json FILE]\n"
+    "       marvel-cli --help | --version\n"
+    "  campaigns: marvel-campaign run\n",
 };
 
 /** Complain about one specific bad token, then the usage text. */
@@ -111,32 +89,10 @@ parseArgs(int argc, char **argv)
             opts.workload = next();
         else if (arg == "--driver")
             opts.driver = next();
-        else if (arg == "--target")
-            opts.target = next();
         else if (arg == "--mask")
             opts.mask = next();
         else if (arg == "--json")
             opts.jsonPath = next();
-        else if (arg == "--faults")
-            opts.faults = std::strtoul(next().c_str(), nullptr, 10);
-        else if (arg == "--seed")
-            opts.seed = std::strtoull(next().c_str(), nullptr, 0);
-        else if (arg == "--threads")
-            opts.threads = std::strtoul(next().c_str(), nullptr, 10);
-        else if (arg == "--model") {
-            const std::string m = next();
-            if (m == "transient")
-                opts.model = fi::FaultModel::Transient;
-            else if (m == "stuck-at-0")
-                opts.model = fi::FaultModel::StuckAt0;
-            else if (m == "stuck-at-1")
-                opts.model = fi::FaultModel::StuckAt1;
-            else
-                usageError("unknown fault model", m);
-        } else if (arg == "--hvf")
-            opts.hvf = true;
-        else if (arg == "--no-early-term")
-            opts.earlyTerm = false;
         else
             usageError("unknown flag", arg);
     }
@@ -193,70 +149,6 @@ cmdListWorkloads()
     for (const std::string &name :
          accel::designs::allDesignNames())
         std::printf("  %s\n", name.c_str());
-    return 0;
-}
-
-int
-cmdCampaign(const Options &opts)
-{
-    if (opts.target.empty())
-        fatal("marvel-cli: campaign needs --target");
-    const soc::SystemConfig cfg = systemFor(opts);
-    const workloads::Workload wl = workloadFor(opts);
-    const isa::Program prog = isa::compile(wl.module, cfg.cpu.isa);
-    std::printf("golden run (%s, %s)...\n", wl.name.c_str(),
-                isa::isaName(cfg.cpu.isa));
-    const fi::GoldenRun golden = fi::runGolden(cfg, prog);
-    std::printf("  window %llu cycles, total %llu cycles, "
-                "%zu-uop commit trace\n",
-                static_cast<unsigned long long>(golden.windowCycles),
-                static_cast<unsigned long long>(golden.totalCycles),
-                golden.trace.size());
-
-    const fi::TargetRef target =
-        fi::targetByName(golden.checkpoint.view(), opts.target);
-    fi::CampaignOptions copts;
-    copts.numFaults = opts.faults;
-    copts.model = opts.model;
-    copts.seed = opts.seed;
-    copts.threads = opts.threads;
-    copts.computeHvf = opts.hvf;
-    copts.earlyTermination = opts.earlyTerm;
-    const fi::CampaignResult res =
-        fi::runCampaignOnGolden(golden, target, copts);
-
-    TextTable table("campaign: " + wl.name + " / " + opts.target);
-    table.header({"metric", "value"});
-    table.row({"faults", strfmt("%llu", (unsigned long long)
-                                            res.total())});
-    table.row({"fault population",
-               strfmt("%.3g bit-cycles", res.population())});
-    table.row({"error margin (95%)",
-               strfmt("+/-%.2f%%", res.errorMargin() * 100)});
-    table.row({"AVF", strfmt("%.2f%% (+/-%.2f%%)",
-                             res.avf() * 100,
-                             res.errorMargin() * 100)});
-    table.row({"SDC AVF", strfmt("%.2f%%", res.sdcAvf() * 100)});
-    table.row({"Crash AVF", strfmt("%.2f%%", res.crashAvf() * 100)});
-    if (opts.hvf)
-        table.row({"HVF", strfmt("%.2f%%", res.hvf() * 100)});
-    table.row({"masked", strfmt("%llu",
-                                (unsigned long long)res.masked)});
-    table.row({"  early-terminated",
-               strfmt("%llu", (unsigned long long)res.maskedEarly)});
-    table.row({"  invalid-entry hits",
-               strfmt("%llu",
-                      (unsigned long long)res.maskedInvalid)});
-    if (res.maskedInAccel)
-        table.row({"  contained in accelerator",
-                   strfmt("%llu",
-                          (unsigned long long)res.maskedInAccel)});
-    table.row({"SDCs", strfmt("%llu", (unsigned long long)res.sdc)});
-    table.row({"crashes",
-               strfmt("%llu", (unsigned long long)res.crash)});
-    table.row({"  timeouts",
-               strfmt("%llu", (unsigned long long)res.timeouts)});
-    table.print();
     return 0;
 }
 
@@ -330,8 +222,6 @@ main(int argc, char **argv)
             return cmdTargets(opts);
         if (opts.command == "list-workloads")
             return cmdListWorkloads();
-        if (opts.command == "campaign")
-            return cmdCampaign(opts);
         if (opts.command == "replay")
             return cmdReplay(opts);
         if (opts.command == "stats")
