@@ -197,13 +197,25 @@ class StoreQueue : public AgeQueue<SqEntry>
             (*this)[entry].addr ^= 1ull << bit;
         else
             (*this)[entry].data ^= 1ull << (bit - 48);
+        touch();
     }
+
+    /**
+     * Change count for the loads' store-queue search: the owner calls
+     * touch() whenever an entry's presence, address or ready state
+     * changes (allocation excepted: a new store is younger than every
+     * queued load, so no load's search can see it). Derived state, so
+     * convergedWith ignores it.
+     */
+    u64 version() const { return version_; }
+    void touch() { ++version_; }
 
     FaultState &faults() { return faults_; }
     const FaultState &faults() const { return faults_; }
 
   private:
     FaultState faults_;
+    u64 version_ = 0;
 };
 
 } // namespace marvel::cpu

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/bits.hh"
@@ -100,8 +98,8 @@ OooCore::OooCore(const CpuParams &params)
 void
 OooCore::statsSampleOccupancy()
 {
-    stats.robOccupancy.sample(static_cast<double>(rob.size()));
-    stats.iqOccupancy.sample(static_cast<double>(iq.size()));
+    stats.robOccupancy.sample(static_cast<double>(robCount_));
+    stats.iqOccupancy.sample(static_cast<double>(iqCount_));
     stats.lqOccupancy.sample(static_cast<double>(lq.size()));
     stats.sqOccupancy.sample(static_cast<double>(sq.size()));
     stats.intRegsLive.sample(
@@ -203,8 +201,15 @@ OooCore::reset(Addr pc)
     fetchStallUntil = 0;
     serializeStall = false;
     fetchQueue.clear();
-    rob.clear();
-    iq.clear();
+    rob_.assign(params_.robSize, RobEntry{});
+    robHead_ = 0;
+    robCount_ = 0;
+    iqCount_ = 0;
+    robWords_ = (params_.robSize + 63) / 64;
+    iqReady_.assign(robWords_, 0);
+    intWaiters_.assign(std::size_t(params_.numIntPregs) * robWords_, 0);
+    fpWaiters_.assign(std::size_t(params_.numFpPregs) * robWords_, 0);
+    sqSearch_.assign(params_.lqSize, SqSearch{});
     inflight.clear();
     nextSeq = 1;
     crashKind = CrashKind::None;
@@ -423,9 +428,15 @@ OooCore::convergedWith(const OooCore &other) const
     if (intMap != other.intMap || fpMap != other.fpMap ||
         intFree != other.intFree || fpFree != other.fpFree)
         return false;
-    if (fetchQueue != other.fetchQueue || rob != other.rob ||
-        iq != other.iq || inflight != other.inflight)
+    // Live ROB entries in age order. IQ membership is part of each
+    // entry (!issued && !completed); the ring offset, stale slots and
+    // the wakeup state are not compared.
+    if (fetchQueue != other.fetchQueue || robCount_ != other.robCount_ ||
+        inflight != other.inflight)
         return false;
+    for (unsigned age = 0; age < robCount_; ++age)
+        if (!(rob_[robSlot(age)] == other.rob_[other.robSlot(age)]))
+            return false;
     if (!prfConverged(intPrf, other.intPrf, intFree) ||
         !prfConverged(fpPrf, other.fpPrf, fpFree))
         return false;
@@ -437,26 +448,40 @@ OooCore::convergedWith(const OooCore &other) const
 bool
 OooCore::robFlipBit(u32 entry, u32 bit)
 {
-    if (entry >= rob.size())
+    if (entry >= robCount_)
         return false;
-    RobEntry &re = rob[entry];
-    auto flipPtr = [&](i16 &field, unsigned fieldBit,
-                       unsigned limit) {
+    const unsigned slot = robSlot(entry);
+    RobEntry &re = rob_[slot];
+    // A waiting entry's source pointers decide its wakeup: re-link it
+    // under the flipped pointers.
+    const bool waiting = !re.issued && !re.completed;
+    if (waiting)
+        iqLink(slot, false);
+    // A pointer wraps within the register file of its operand's class.
+    auto flipPtr = [&](i16 &field, unsigned fieldBit, RegClass cls) {
         if (field < 0)
             return; // unused pointer: flip masked
+        const unsigned limit = cls == RegClass::Fp ? params_.numFpPregs
+                                                   : params_.numIntPregs;
         field = static_cast<i16>(
             (static_cast<u32>(field) ^ (1u << fieldBit)) %
             limit);
     };
+    const RegClass srcCls[3] = {re.uop.srcA.cls, re.uop.srcB.cls,
+                                re.uop.srcC.cls};
     if (bit < 21) {
-        flipPtr(re.srcPhys[bit / 7], bit % 7, params_.numIntPregs);
+        flipPtr(re.srcPhys[bit / 7], bit % 7, srcCls[bit / 7]);
     } else if (bit < 28) {
-        flipPtr(re.dstPhys, bit - 21, params_.numIntPregs);
+        flipPtr(re.dstPhys, bit - 21, re.uop.dst.cls);
     } else if (bit < 35) {
-        flipPtr(re.oldPhys, bit - 28, params_.numIntPregs);
+        flipPtr(re.oldPhys, bit - 28, re.uop.dst.cls);
     } else {
         // pc bits 1..13: corrupt the recorded instruction address.
         re.pc ^= 1ull << (bit - 35 + 1);
+    }
+    if (waiting) {
+        iqLink(slot, true);
+        iqRefresh(slot);
     }
     return true;
 }
@@ -472,32 +497,174 @@ OooCore::renameFlipBit(u32 entry, u32 bit)
 RobEntry *
 OooCore::findRob(u64 seq)
 {
-    if (rob.empty())
+    if (robCount_ == 0)
         return nullptr;
-    const u64 headSeq = rob.front().seq;
-    if (seq < headSeq || seq >= headSeq + rob.size())
+    const u64 headSeq = rob_[robHead_].seq;
+    if (seq < headSeq || seq - headSeq >= robCount_)
         return nullptr;
-    RobEntry &entry = rob[seq - headSeq];
-    return entry.seq == seq ? &entry : nullptr;
+    return &rob_[robSlot(static_cast<unsigned>(seq - headSeq))];
 }
 
-bool
-OooCore::operandsReady(const RobEntry &entry) const
+// =====================================================================
+// Issue-queue wakeup
+// =====================================================================
+
+namespace
 {
+
+void
+setBit(std::vector<u64> &bits, std::size_t idx, bool value)
+{
+    const u64 mask = 1ull << (idx % 64);
+    if (value)
+        bits[idx / 64] |= mask;
+    else
+        bits[idx / 64] &= ~mask;
+}
+
+/** First set bit in [lo, hi), or hi when there is none. */
+unsigned
+firstSet(const std::vector<u64> &bits, unsigned lo, unsigned hi)
+{
+    for (unsigned w = lo / 64; w * 64 < hi; ++w) {
+        u64 word = bits[w];
+        if (w == lo / 64)
+            word &= ~0ull << (lo % 64);
+        if (word)
+            return std::min(hi, w * 64 + unsigned(__builtin_ctzll(word)));
+    }
+    return hi;
+}
+
+} // namespace
+
+void
+OooCore::iqInsert(unsigned slot)
+{
+    ++iqCount_;
+    iqLink(slot, true);
+    iqRefresh(slot);
+}
+
+void
+OooCore::iqRemove(unsigned slot)
+{
+    --iqCount_;
+    iqLink(slot, false);
+    setBit(iqReady_, slot, false);
+}
+
+/** Add (waiting) or remove the slot as a waiter on each source. */
+void
+OooCore::iqLink(unsigned slot, bool waiting)
+{
+    const RobEntry &entry = rob_[slot];
     const RegClass clss[3] = {entry.uop.srcA.cls, entry.uop.srcB.cls,
                               entry.uop.srcC.cls};
     for (unsigned s = 0; s < 3; ++s) {
-        if (clss[s] == RegClass::None)
-            continue;
         const i16 phys = entry.srcPhys[s];
-        if (phys == -2)
-            continue; // hardwired zero
-        if (clss[s] == RegClass::Fp) {
-            if (!fpPrf.ready(phys))
-                return false;
-        } else if (!intPrf.ready(phys)) {
-            return false;
+        if (clss[s] == RegClass::None || phys < 0)
+            continue; // unused or hardwired zero
+        std::vector<u64> &waiters =
+            clss[s] == RegClass::Fp ? fpWaiters_ : intWaiters_;
+        setBit(waiters, std::size_t(phys) * robWords_ * 64 + slot,
+               waiting);
+    }
+}
+
+/** Recompute a waiting slot's readiness from the live PRF bits. */
+void
+OooCore::iqRefresh(unsigned slot)
+{
+    const RobEntry &entry = rob_[slot];
+    const RegClass clss[3] = {entry.uop.srcA.cls, entry.uop.srcB.cls,
+                              entry.uop.srcC.cls};
+    bool ready = true;
+    for (unsigned s = 0; s < 3 && ready; ++s) {
+        const i16 phys = entry.srcPhys[s];
+        if (clss[s] == RegClass::None || phys < 0)
+            continue;
+        ready = clss[s] == RegClass::Fp ? fpPrf.ready(phys)
+                                        : intPrf.ready(phys);
+    }
+    setBit(iqReady_, slot, ready);
+}
+
+/** A register's ready bit changed: refresh every entry reading it. */
+void
+OooCore::wake(RegClass cls, i16 phys)
+{
+    const std::vector<u64> &waiters =
+        cls == RegClass::Fp ? fpWaiters_ : intWaiters_;
+    const std::size_t base = std::size_t(phys) * robWords_;
+    for (unsigned w = 0; w < robWords_; ++w)
+        for (u64 word = waiters[base + w]; word; word &= word - 1)
+            iqRefresh(w * 64 + unsigned(__builtin_ctzll(word)));
+}
+
+/** Age of the oldest ready entry at least `age` old, else robCount_. */
+unsigned
+OooCore::nextReadyAge(unsigned age) const
+{
+    const unsigned size = params_.robSize;
+    const unsigned lo = robHead_ + age;
+    const unsigned hi = robHead_ + robCount_;
+    if (lo < size) {
+        const unsigned end = std::min(hi, size);
+        const unsigned slot = firstSet(iqReady_, lo, end);
+        if (slot < end)
+            return slot - robHead_;
+    }
+    if (hi > size) {
+        const unsigned slot =
+            firstSet(iqReady_, std::max(lo, size) - size, hi - size);
+        if (slot < hi - size)
+            return slot + size - robHead_;
+    }
+    return robCount_;
+}
+
+bool
+OooCore::derivedStateConsistent() const
+{
+    std::vector<u64> ready(iqReady_.size(), 0);
+    std::vector<u64> intWaiters(intWaiters_.size(), 0);
+    std::vector<u64> fpWaiters(fpWaiters_.size(), 0);
+    unsigned waiting = 0;
+    for (unsigned age = 0; age < robCount_; ++age) {
+        const unsigned slot = robSlot(age);
+        const RobEntry &entry = rob_[slot];
+        if (entry.issued || entry.completed)
+            continue;
+        ++waiting;
+        const RegClass clss[3] = {entry.uop.srcA.cls, entry.uop.srcB.cls,
+                                  entry.uop.srcC.cls};
+        bool allReady = true;
+        for (unsigned s = 0; s < 3; ++s) {
+            const i16 phys = entry.srcPhys[s];
+            if (clss[s] == RegClass::None || phys < 0)
+                continue;
+            const bool fp = clss[s] == RegClass::Fp;
+            setBit(fp ? fpWaiters : intWaiters,
+                   std::size_t(phys) * robWords_ * 64 + slot, true);
+            allReady &= fp ? fpPrf.ready(phys) : intPrf.ready(phys);
         }
+        setBit(ready, slot, allReady);
+    }
+    if (waiting != iqCount_ || ready != iqReady_ ||
+        intWaiters != intWaiters_ || fpWaiters != fpWaiters_)
+        return false;
+    for (unsigned k = 0; k < lq.size(); ++k) {
+        const unsigned idx = lq.indexAt(k);
+        const LqEntry &lqe = lq[idx];
+        const SqSearch &cached = sqSearch_[idx];
+        if (!lqe.valid || !lqe.addrReady || lqe.issued ||
+            !cached.valid || cached.sqVersion != sq.version() ||
+            cached.addr != lqe.addr)
+            continue;
+        const SqSearch fresh = searchSq(lqe);
+        if (cached.stall != fresh.stall || cached.fwdIdx != fresh.fwdIdx)
+            return false;
     }
     return true;
 }
@@ -526,6 +693,7 @@ OooCore::writeResult(const RobEntry &entry, u64 value)
         fpPrf.write(entry.dstPhys, value);
     else
         intPrf.write(entry.dstPhys, value);
+    wake(entry.uop.dst.cls, entry.dstPhys);
 }
 
 // =====================================================================
@@ -660,7 +828,7 @@ OooCore::doDispatch()
 {
     unsigned budget = params_.dispatchWidth;
     while (budget-- > 0 && !fetchQueue.empty()) {
-        if (rob.size() >= params_.robSize)
+        if (robCount_ >= params_.robSize)
             return;
         const FetchedUop &fu = fetchQueue.front();
         const MicroOp &uop = fu.uop;
@@ -668,7 +836,7 @@ OooCore::doDispatch()
                              uop.op != ExecOp::Nop &&
                              uop.op != ExecOp::Magic &&
                              uop.op != ExecOp::Illegal;
-        if (needsIq && iq.size() >= params_.iqSize)
+        if (needsIq && iqCount_ >= params_.iqSize)
             return;
         if (uop.isLoad && lq.full())
             return;
@@ -681,7 +849,9 @@ OooCore::doDispatch()
                 return;
         }
 
-        RobEntry entry;
+        const unsigned slot = robSlot(robCount_);
+        RobEntry &entry = rob_[slot];
+        entry = RobEntry{};
         entry.uop = uop;
         entry.pc = fu.pc;
         entry.len = fu.len;
@@ -719,6 +889,9 @@ OooCore::doDispatch()
                 intMap[uop.dst.idx] = entry.dstPhys;
                 intPrf.markNotReady(entry.dstPhys);
             }
+            // Only a fault can leave a waiting reader of a free
+            // register; it must see the register go not-ready.
+            wake(uop.dst.cls, entry.dstPhys);
         }
 
         if (uop.isLoad) {
@@ -728,14 +901,14 @@ OooCore::doDispatch()
         if (uop.isStore)
             entry.sqIdx = sq.allocate(entry.seq);
 
+        ++robCount_;
         if (!needsIq)
             entry.completed = true;
         else
-            iq.push_back(entry.seq);
+            iqInsert(slot);
 
         MARVEL_OBS_EMIT(obs::Component::Cpu, obs::EventKind::Rename,
                         entry.pc, entry.seq);
-        rob.push_back(entry);
         fetchQueue.pop_front();
     }
 }
@@ -747,13 +920,6 @@ OooCore::doDispatch()
 void
 OooCore::resolveBranch(RobEntry &entry)
 {
-    if (getenv("MARVEL_TRACE_SQUASH"))
-        std::fprintf(stderr,
-                     "BR cyc=%llu pc=%llx kind=%d pred=%llx\n",
-                     (unsigned long long)cycles,
-                     (unsigned long long)entry.pc,
-                     (int)entry.uop.brKind,
-                     (unsigned long long)entry.predNextPc);
     const MicroOp &uop = entry.uop;
     bool taken = false;
     Addr target = entry.pc + entry.len;
@@ -954,35 +1120,24 @@ OooCore::doIssue(mem::Hierarchy &memory, MmioBus &bus)
 {
     unsigned budget = params_.issueWidth;
     unsigned fuUsed[isa::kNumFuClasses] = {};
-    for (std::size_t i = 0; i < iq.size() && budget > 0;) {
-        RobEntry *entry = findRob(iq[i]);
-        if (!entry) {
-            // Stale entry (squashed); drop it.
-            iq.erase(iq.begin() + i);
-            continue;
-        }
-        if (!operandsReady(*entry)) {
-            ++i;
-            continue;
-        }
+    // Walk the ready entries oldest first.
+    for (unsigned age = nextReadyAge(0); age < robCount_ && budget > 0;
+         age = nextReadyAge(age)) {
+        const unsigned slot = robSlot(age);
+        RobEntry *entry = &rob_[slot];
         const FuClass fu = isa::fuClassOf(entry->uop);
         const unsigned fuIdx = static_cast<unsigned>(fu);
-        if (fuUsed[fuIdx] >= params_.fuCounts[fuIdx]) {
-            ++i;
-            continue;
-        }
-        if (fu == FuClass::IntDiv && cycles < intDivBusyUntil) {
-            ++i;
-            continue;
-        }
-        if (fu == FuClass::FpDiv && cycles < fpDivBusyUntil) {
-            ++i;
+        if (fuUsed[fuIdx] >= params_.fuCounts[fuIdx] ||
+            (fu == FuClass::IntDiv && cycles < intDivBusyUntil) ||
+            (fu == FuClass::FpDiv && cycles < fpDivBusyUntil)) {
+            ++age;
             continue;
         }
 
         ++fuUsed[fuIdx];
         --budget;
         entry->issued = true;
+        iqRemove(slot);
         stats.issuedUops.inc();
         MARVEL_OBS_EMIT(obs::Component::Cpu, obs::EventKind::Issue,
                         entry->pc, entry->seq);
@@ -998,14 +1153,12 @@ OooCore::doIssue(mem::Hierarchy &memory, MmioBus &bus)
             lqe.size = entry->uop.memSize;
             lqe.addrReady = true;
             lqe.mmio = isMmio(addr);
+            sqSearch_[entry->lqIdx].valid = false;
             if (lineageOut)
                 lqe.tainted = lineageUopConsumes(*entry);
             if (lq.faults().active())
                 lq.faults().noteWrite(entry->lqIdx, 0, 47);
-            iq.erase(iq.begin() + i);
-            continue;
-        }
-        if (entry->uop.isStore) {
+        } else if (entry->uop.isStore) {
             const u64 base = readSrc(*entry, 0);
             const u64 data = readSrc(*entry, 1);
             const Addr addr = base + static_cast<u64>(entry->uop.imm);
@@ -1029,6 +1182,7 @@ OooCore::doIssue(mem::Hierarchy &memory, MmioBus &bus)
                 sqe.data = data;
                 sqe.size = static_cast<u8>(size);
                 sqe.ready = true;
+                sq.touch();
                 if (storeTaint) {
                     sqe.tainted = true;
                     ++lineageOut->taintedStores;
@@ -1038,32 +1192,50 @@ OooCore::doIssue(mem::Hierarchy &memory, MmioBus &bus)
                 }
                 entry->completed = true;
             }
-            iq.erase(iq.begin() + i);
-            continue;
-        }
-        if (entry->uop.isBranch()) {
+        } else if (entry->uop.isBranch()) {
+            // The link write may wake an older entry and a squash drops
+            // younger ones: select restarts from the oldest.
             resolveBranch(*entry);
-            // The IQ may have been rebuilt by a squash: restart scan.
-            if (!entry->completed)
-                panic("branch did not complete");
-            // Remove this seq if still present.
-            for (std::size_t j = 0; j < iq.size(); ++j) {
-                if (iq[j] == entry->seq) {
-                    iq.erase(iq.begin() + j);
-                    break;
-                }
-            }
-            i = 0;
+            age = 0;
             continue;
+        } else {
+            executeUop(*entry, memory, bus);
+            if (fu == FuClass::IntDiv)
+                intDivBusyUntil = cycles + isa::execLatency(entry->uop);
+            if (fu == FuClass::FpDiv)
+                fpDivBusyUntil = cycles + isa::execLatency(entry->uop);
         }
-
-        executeUop(*entry, memory, bus);
-        if (fu == FuClass::IntDiv)
-            intDivBusyUntil = cycles + isa::execLatency(entry->uop);
-        if (fu == FuClass::FpDiv)
-            fpDivBusyUntil = cycles + isa::execLatency(entry->uop);
-        iq.erase(iq.begin() + i);
+        ++age;
     }
+}
+
+OooCore::SqSearch
+OooCore::searchSq(const LqEntry &lqe) const
+{
+    SqSearch search{true, false, -1, sq.version(), lqe.addr};
+    for (unsigned s = sq.size(); s-- > 0;) {
+        const unsigned si = sq.indexAt(s);
+        const SqEntry &sqe = sq[si];
+        if (!sqe.valid || sqe.seq > lqe.seq)
+            continue;
+        if (!sqe.ready) {
+            // Older store with unknown address: conservative stall.
+            search.stall = true;
+            break;
+        }
+        const Addr sLo = sqe.addr;
+        const Addr sHi = sqe.addr + sqe.size;
+        const Addr lLo = lqe.addr;
+        const Addr lHi = lqe.addr + lqe.size;
+        if (sLo < lHi && lLo < sHi) {
+            if (sLo <= lLo && lHi <= sHi)
+                search.fwdIdx = static_cast<int>(si);
+            else
+                search.stall = true; // partial overlap
+            break;
+        }
+    }
+    return search;
 }
 
 void
@@ -1084,36 +1256,16 @@ OooCore::doLoadIssue(mem::Hierarchy &memory, MmioBus &bus)
         const unsigned size = lqe.size;
 
         // Store-queue ordering/forwarding: find the youngest older
-        // store overlapping this load.
-        bool stall = false;
-        const SqEntry *fwd = nullptr;
-        int fwdIdx = -1;
-        for (unsigned s = sq.size(); s-- > 0;) {
-            const unsigned si = sq.indexAt(s);
-            const SqEntry &sqe = sq[si];
-            if (!sqe.valid || sqe.seq > lqe.seq)
-                continue;
-            if (!sqe.ready) {
-                // Older store with unknown address: conservative stall.
-                stall = true;
-                break;
-            }
-            const Addr sLo = sqe.addr;
-            const Addr sHi = sqe.addr + sqe.size;
-            const Addr lLo = addr;
-            const Addr lHi = addr + size;
-            if (sLo < lHi && lLo < sHi) {
-                if (sLo <= lLo && lHi <= sHi) {
-                    fwd = &sqe;
-                    fwdIdx = static_cast<int>(si);
-                } else {
-                    stall = true; // partial overlap
-                }
-                break;
-            }
-        }
-        if (stall)
+        // store overlapping this load, unless neither the SQ nor the
+        // load address changed since the last search.
+        SqSearch &search = sqSearch_[idx];
+        if (!search.valid || search.sqVersion != sq.version() ||
+            search.addr != addr)
+            search = searchSq(lqe);
+        if (search.stall)
             continue;
+        const int fwdIdx = search.fwdIdx;
+        const SqEntry *fwd = fwdIdx >= 0 ? &sq[fwdIdx] : nullptr;
 
         if (lq.faults().active())
             lq.faults().noteRead(idx, 0, 47);
@@ -1129,7 +1281,7 @@ OooCore::doLoadIssue(mem::Hierarchy &memory, MmioBus &bus)
 
         // MMIO loads execute only at the head of the ROB.
         if (lqe.mmio) {
-            if (rob.empty() || rob.front().seq != lqe.seq)
+            if (robCount_ == 0 || rob_[robHead_].seq != lqe.seq)
                 continue;
             const u64 raw = bus.mmioRead(addr, size);
             lqe.issued = true;
@@ -1241,8 +1393,8 @@ void
 OooCore::doCommit(MmioBus &bus)
 {
     unsigned budget = params_.commitWidth;
-    while (budget-- > 0 && !rob.empty()) {
-        RobEntry &head = rob.front();
+    while (budget-- > 0 && robCount_ > 0) {
+        RobEntry &head = rob_[robHead_];
         if (!head.completed)
             return;
 
@@ -1344,7 +1496,8 @@ OooCore::doCommit(MmioBus &bus)
             head.uop.op == ExecOp::Magic &&
             (head.uop.magic == MagicOp::Checkpoint ||
              head.uop.magic == MagicOp::SwitchCpu);
-        rob.pop_front();
+        robHead_ = robSlot(1);
+        --robCount_;
         if (wasCheckpoint)
             return; // let the owner observe the request precisely
     }
@@ -1380,6 +1533,7 @@ OooCore::doStoreDrain(mem::Hierarchy &memory, MmioBus &bus)
             }
         }
         sq.popOldest();
+        sq.touch();
         stats.storeDrains.inc();
         nextDrainAllowed = cycles + drainInterval_;
         --maxPerCycle;
@@ -1396,14 +1550,13 @@ OooCore::squashAfter(u64 seq, Addr redirectPc)
     ++squashes;
     MARVEL_OBS_EMIT(obs::Component::Cpu, obs::EventKind::Squash,
                     redirectPc, seq);
-    if (getenv("MARVEL_TRACE_SQUASH"))
-        std::fprintf(stderr,
-                     "SQUASH cyc=%llu after=%llu redirect=%llx\n",
-                     (unsigned long long)cycles,
-                     (unsigned long long)seq,
-                     (unsigned long long)redirectPc);
-    while (!rob.empty() && rob.back().seq > seq) {
-        RobEntry &entry = rob.back();
+    while (robCount_ > 0) {
+        const unsigned slot = robSlot(robCount_ - 1);
+        RobEntry &entry = rob_[slot];
+        if (entry.seq <= seq)
+            break;
+        if (!entry.issued && !entry.completed)
+            iqRemove(slot);
         if (entry.dstPhys >= 0) {
             if (entry.uop.dst.cls == RegClass::Fp) {
                 fpMap[entry.uop.dst.idx] = entry.oldPhys;
@@ -1414,12 +1567,13 @@ OooCore::squashAfter(u64 seq, Addr redirectPc)
                 intFree.push_back(entry.dstPhys);
                 intPrf.markReady(entry.dstPhys);
             }
+            wake(entry.uop.dst.cls, entry.dstPhys);
         }
-        rob.pop_back();
+        --robCount_;
     }
     lq.squashYoungerThan(seq, lq.faults());
     sq.squashYoungerThan(seq, sq.faults());
-    std::erase_if(iq, [&](u64 s) { return s > seq; });
+    sq.touch();
     std::erase_if(inflight,
                   [&](const InFlight &f) { return f.seq > seq; });
     fetchQueue.clear();

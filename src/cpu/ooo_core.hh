@@ -173,6 +173,13 @@ struct RobEntry
  * The out-of-order core. Value-semantic: copying a core snapshots its
  * full microarchitectural state (the checkpointing mechanism), except
  * the trace pointers, which the owner must re-set after copying.
+ *
+ * The ROB is a ring of robSize slots. The issue queue is the set of
+ * ROB entries that wait to issue; select walks only the ones whose
+ * sources are ready. That readiness is derived state, kept equal to the
+ * live PRF ready bits: every ready-bit change made by the core wakes
+ * (or un-wakes) the waiting entries that read the register. The PRF
+ * ready bits must therefore change only through the core.
  */
 class OooCore
 {
@@ -279,13 +286,13 @@ class OooCore
     u32 robBitsPerEntry() const { return 48; }
 
     /** Occupied ROB entries right now. */
-    u32 robOccupancy() const { return rob.size(); }
+    u32 robOccupancy() const { return robCount_; }
 
     /**
      * Flip one bit of the i-th oldest ROB entry's control image.
      * Returns false (masked) when the slot is empty. Register-pointer
-     * bits wrap within the physical register file, as a real 7-bit
-     * pointer field would.
+     * bits wrap within the physical register file of the operand's
+     * class, as a real 7-bit pointer field would.
      */
     bool robFlipBit(u32 entry, u32 bit);
 
@@ -313,6 +320,14 @@ class OooCore
      */
     bool convergedWith(const OooCore &other) const;
 
+    /**
+     * Self-check of the derived issue state: the IQ count, ready set
+     * and per-register waiter sets equal what the live ROB entries and
+     * PRF ready bits imply, and every cached store-queue search that
+     * would be reused equals a fresh search. For tests.
+     */
+    bool derivedStateConsistent() const;
+
   private:
     struct InFlight
     {
@@ -328,8 +343,26 @@ class OooCore
     /** Sample occupancy histograms (call on the kStatsStride grid). */
     void statsSampleOccupancy();
 
+    /** Ring slot of the entry `age` places from the ROB head. */
+    unsigned
+    robSlot(unsigned age) const
+    {
+        const unsigned slot = robHead_ + age;
+        return slot >= params_.robSize ? slot - params_.robSize : slot;
+    }
     RobEntry *findRob(u64 seq);
-    bool operandsReady(const RobEntry &entry) const;
+
+    // Issue-queue wakeup (see the class comment).
+    void iqInsert(unsigned slot);
+    void iqRemove(unsigned slot);
+    void iqLink(unsigned slot, bool waiting);
+    void iqRefresh(unsigned slot);
+    void wake(isa::RegClass cls, i16 phys);
+    unsigned nextReadyAge(unsigned age) const;
+
+    struct SqSearch;
+    SqSearch searchSq(const LqEntry &lqe) const;
+
     u64 readSrc(const RobEntry &entry, unsigned which);
     void doFetch(mem::Hierarchy &memory);
     void doDispatch();
@@ -378,11 +411,40 @@ class OooCore
     std::vector<i16> intFree;
     std::vector<i16> fpFree;
 
-    // Window
-    std::deque<RobEntry> rob;
+    // Window. The live ROB entries are the robCount_ ring slots from
+    // robHead_, oldest first, with contiguous seqs (a squash recycles
+    // the squashed seqs). Other slots are stale and never compared.
+    std::vector<RobEntry> rob_;
+    unsigned robHead_ = 0;
+    unsigned robCount_ = 0;
     u64 nextSeq = 1;
-    std::vector<u64> iq; ///< seqs of un-issued uops
     std::vector<InFlight> inflight;
+
+    // Issue queue, derived from the ROB: an entry waits from dispatch
+    // until it issues (!issued && !completed). Bit sets are indexed by
+    // ROB slot, robWords_ words each. iqReady_ holds the waiting
+    // entries whose sources are all ready; intWaiters_/fpWaiters_ hold,
+    // per physical register, the waiting entries that read it. All of
+    // it is a function of the ROB and the PRF ready bits, so
+    // convergedWith never compares it.
+    unsigned iqCount_ = 0;
+    unsigned robWords_ = 0;
+    std::vector<u64> iqReady_;
+    std::vector<u64> intWaiters_;
+    std::vector<u64> fpWaiters_;
+
+    // Store-queue search result of each address-ready load (by LQ
+    // slot): valid while the SQ version and the load address match, so
+    // a stalled load repeats the search only after the SQ changed.
+    struct SqSearch
+    {
+        bool valid = false;
+        bool stall = false;
+        int fwdIdx = -1;
+        u64 sqVersion = 0;
+        Addr addr = 0;
+    };
+    std::vector<SqSearch> sqSearch_;
 
     // Divider occupancy (unpipelined units)
     Cycle intDivBusyUntil = 0;

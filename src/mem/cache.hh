@@ -114,9 +114,15 @@ class Cache
     u8
     peekByte(int line, u32 offset) const
     {
-        return data_[static_cast<std::size_t>(line) *
-                         params_.lineSize +
-                     offset];
+        return lineBytes(line)[offset];
+    }
+
+    /** Side-effect-free view of one line's lineSize data bytes. */
+    const u8 *
+    lineBytes(int line) const
+    {
+        return data_.data() +
+               static_cast<std::size_t>(line) * params_.lineSize;
     }
 
     FaultState &faults() { return faults_; }

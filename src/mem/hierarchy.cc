@@ -165,27 +165,34 @@ Hierarchy::fetch(Addr addr, void *out, u32 len)
 void
 Hierarchy::coherentRead(Addr addr, void *out, Addr len) const
 {
-    // Byte-by-byte: L1D, else L2, else DRAM. Only used for output
-    // capture and golden comparison (not performance critical).
+    // Each byte comes from L1D, else L2, else DRAM (else 0). Chunks of
+    // the smaller line size lie within one line of either level, so one
+    // lookup per level serves the whole chunk.
+    const Addr chunk = std::min(l1d_.params().lineSize,
+                                l2_.params().lineSize);
     u8 *dst = static_cast<u8 *>(out);
-    for (Addr i = 0; i < len; ++i) {
-        const Addr a = addr + i;
-        dst[i] = 0;
-        const Cache *levels[2] = {&l1d_, &l2_};
-        bool found = false;
-        for (const Cache *c : levels) {
-            const int line = c->findLine(a);
-            if (line >= 0) {
-                // Direct const inspection of the data array.
-                dst[i] = c->peekByte(
-                    line,
-                    static_cast<u32>(a & (c->params().lineSize - 1)));
-                found = true;
-                break;
-            }
+    for (Addr done = 0; done < len;) {
+        const Addr a = addr + done;
+        const Addr n = std::min(len - done, chunk - (a & (chunk - 1)));
+        const Cache *hit = nullptr;
+        int line = l1d_.findLine(a);
+        if (line >= 0) {
+            hit = &l1d_;
+        } else if ((line = l2_.findLine(a)) >= 0) {
+            hit = &l2_;
         }
-        if (!found && dram_.ok(a, 1))
-            dram_.read(a, &dst[i], 1);
+        if (hit) {
+            const u32 offset =
+                static_cast<u32>(a & (hit->params().lineSize - 1));
+            std::memcpy(dst + done, hit->lineBytes(line) + offset, n);
+        } else {
+            const Addr inDram =
+                a < dram_.size() ? std::min(n, dram_.size() - a) : 0;
+            if (inDram > 0)
+                dram_.read(a, dst + done, inDram);
+            std::memset(dst + done + inDram, 0, n - inDram);
+        }
+        done += n;
     }
 }
 

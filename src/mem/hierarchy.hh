@@ -56,7 +56,9 @@ class Hierarchy
     /**
      * Backdoor coherent read: returns the current architectural value
      * of memory as the CPU would observe it (L1D, else L2, else DRAM),
-     * without touching cache state. Used for output-window comparison.
+     * without touching cache state; bytes outside DRAM that no cache
+     * holds read as 0. Used for output-window capture and the
+     * architectural-state digest, so it works a line at a time.
      */
     void coherentRead(Addr addr, void *out, Addr len) const;
 

@@ -11,8 +11,12 @@
 #include "common/memmap.hh"
 #include "common/rng.hh"
 #include "cpu/ooo_core.hh"
+#include "fi/campaign.hh"
+#include "fi/targets.hh"
 #include "isa/codegen.hh"
 #include "mir/builder.hh"
+#include "soc/builder.hh"
+#include "workloads/workloads.hh"
 
 using namespace marvel;
 
@@ -51,8 +55,13 @@ RunOutcome runOn(isa::IsaKind kind, const mir::Module& module,
     NullBus bus;
     RunOutcome out;
     for (u64 c = 0; c < maxCycles && !bus.exited && !core.crashed();
-         ++c)
+         ++c) {
         core.cycle(memory, bus);
+        if (!core.derivedStateConsistent()) {
+            ADD_FAILURE() << "derived issue state wrong at cycle " << c;
+            break;
+        }
+    }
     out.exited = bus.exited;
     out.exitCode = bus.exitCode;
     out.crash = core.crashKind;
@@ -415,6 +424,100 @@ TEST(CpuCopy, CoreCopyPreservesState) {
     EXPECT_EQ(busA.exitCode, busB.exitCode);
     EXPECT_EQ(core.cycles, forkCore.cycles);
     EXPECT_EQ(core.committedUops, forkCore.committedUops);
+}
+
+TEST(CpuWakeup, DerivedIssueStateTracksFaultsEveryCycle) {
+    // After every cycle the derived issue state must equal what the ROB
+    // and PRF ready bits imply: through a fault-free window, and after
+    // faults that disturb it. ROB pointer flips re-link a waiting
+    // entry; rename-map flips can free a live register that is then
+    // re-allocated (a ready -> not-ready transition); LQ/SQ flips must
+    // invalidate the cached store-queue searches.
+    const soc::SystemConfig cfg = soc::preset("riscv");
+    const fi::GoldenRun golden = fi::runGolden(
+        cfg, isa::compile(workloads::get("crc32").module, cfg.cpu.isa));
+    auto tick = [](soc::System &sys) {
+        sys.tick();
+        sys.cpu.checkpointRequest = false;
+        sys.cpu.switchCpuRequest = false;
+    };
+    {
+        soc::System sys = golden.checkpoint.restore();
+        for (Cycle c = 0; c < golden.totalCycles && !sys.exited; ++c) {
+            tick(sys);
+            ASSERT_TRUE(sys.cpu.derivedStateConsistent()) << "cycle " << c;
+        }
+        ASSERT_TRUE(sys.exited);
+    }
+    const fi::TargetId targets[] = {
+        fi::TargetId::RenameMap, fi::TargetId::Rob, fi::TargetId::RenameMap,
+        fi::TargetId::Rob,       fi::TargetId::RenameMap,
+        fi::TargetId::LoadQueue, fi::TargetId::StoreQueue,
+        fi::TargetId::PrfInt};
+    Rng rng(0x1A5E);
+    for (unsigned k = 0; k < 120; ++k) {
+        soc::System sys = golden.checkpoint.restore();
+        const Cycle at = rng.below(golden.windowCycles);
+        for (Cycle c = 0; c < at; ++c)
+            tick(sys);
+        fi::FaultSpec fault;
+        fault.target = {targets[k % 8]};
+        const fi::TargetGeometry geo =
+            fi::targetInfo(sys, fault.target).geometry;
+        // Aim at live entries, and at the ROB's source pointers.
+        for (unsigned draw = 0; draw < 64; ++draw) {
+            fault.entry = static_cast<u32>(rng.below(geo.entries));
+            if (fi::entryLive(sys, fault))
+                break;
+        }
+        fault.bit = static_cast<u32>(rng.below(
+            fault.target.id == fi::TargetId::Rob ? 21 : geo.bitsPerEntry));
+        fi::injectFault(sys, fault);
+        ASSERT_TRUE(sys.cpu.derivedStateConsistent()) << "fault " << k;
+        for (unsigned c = 0; c < 5000 && !sys.exited &&
+                             !sys.cpu.crashed();
+             ++c) {
+            tick(sys);
+            ASSERT_TRUE(sys.cpu.derivedStateConsistent())
+                << "fault " << k << " cycle " << c;
+        }
+    }
+}
+
+TEST(CpuWakeup, RobPointerFlipsStayInsideTheirRegisterFile) {
+    // With fewer FP than integer physical registers, a flipped FP
+    // pointer must wrap within the FP file; wrapping by the integer
+    // file's size indexed past the FP PRF (an ASan heap overflow).
+    const soc::SystemConfig cfg = soc::configFromText(
+        "[system]\nisa = riscv\n[cpu]\nfp_pregs = 64\n");
+    const fi::GoldenRun golden = fi::runGolden(
+        cfg, isa::compile(workloads::get("basicmath").module, cfg.cpu.isa));
+    Rng rng(0xF964);
+    for (unsigned k = 0; k < 150; ++k) {
+        soc::System sys = golden.checkpoint.restore();
+        const Cycle at = rng.below(golden.windowCycles);
+        for (Cycle c = 0; c < at; ++c) {
+            sys.tick();
+            sys.cpu.checkpointRequest = false;
+            sys.cpu.switchCpuRequest = false;
+        }
+        if (sys.cpu.robOccupancy() == 0)
+            continue;
+        // The top bit of one of the five 7-bit pointer fields: it moves
+        // a pointer below 64 to 64 or above.
+        sys.cpu.robFlipBit(
+            static_cast<u32>(rng.below(sys.cpu.robOccupancy())),
+            static_cast<u32>(7 * rng.below(5) + 6));
+        for (unsigned c = 0; c < 3000 && !sys.exited &&
+                             !sys.cpu.crashed();
+             ++c) {
+            sys.tick();
+            sys.cpu.checkpointRequest = false;
+            sys.cpu.switchCpuRequest = false;
+            ASSERT_TRUE(sys.cpu.derivedStateConsistent())
+                << "fault " << k << " cycle " << c;
+        }
+    }
 }
 
 TEST(StoreDrain, KnobControlsSqResidency) {
